@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Batch wdEVAL throughput: single-shot vs batched vs parallel.
 
-The service-layer claim behind :mod:`repro.evaluation.batch`: answering many
+The service-layer claim behind :meth:`Session.check_many
+<repro.evaluation.session.Session.check_many>`: answering many
 membership instances against one graph through the shared
 :class:`~repro.evaluation.cache.EvaluationCache` must beat a loop of
 independent :meth:`Engine.contains` calls by a wide margin, with *identical*
@@ -22,7 +23,7 @@ Run as a script::
 It prints a throughput table (mappings/second) for
 
 * ``single`` — per-call :meth:`Engine.contains`, no cache;
-* ``batched`` — :meth:`BatchEngine.contains_many`, shared cache;
+* ``batched`` — :meth:`Session.check_many`, shared cache;
 * ``parallel`` — the same with an opt-in worker pool;
 
 and **asserts** the acceptance criteria: batched throughput at least
@@ -45,7 +46,7 @@ import pickle
 import time
 from typing import List, Tuple
 
-from repro.evaluation import BatchEngine, Engine
+from repro.evaluation import Engine, Session
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.mappings import Mapping
 from repro.workloads.families import P_PRED, fk_data_graph, fk_forest
@@ -99,21 +100,22 @@ def run_throughput(
         lambda: [engine.contains(graph, mu, method=method, width=1) for mu in mappings],
         repeat,
     )
-    # A fresh BatchEngine per run so the timing includes building the cache.
-    t_batched, batched = _best_of(
-        lambda: BatchEngine(forest=forest, width_bound=1).contains_many(
-            graph, mappings, method=method, width=1
-        ),
-        repeat,
-    )
+    # A fresh Session per run so the timing includes building the cache.
+    def check_many(pool_size=None):
+        session = Session()
+        return session.check_many(
+            session.engine(forest, width_bound=1),
+            graph,
+            mappings,
+            method=method,
+            width=1,
+            processes=pool_size,
+        )
+
+    t_batched, batched = _best_of(check_many, repeat)
     if processes <= 0:
         processes = min(4, multiprocessing.cpu_count())
-    t_parallel, parallel = _best_of(
-        lambda: BatchEngine(forest=forest, width_bound=1).contains_many(
-            graph, mappings, method=method, width=1, processes=processes
-        ),
-        repeat,
-    )
+    t_parallel, parallel = _best_of(lambda: check_many(processes), repeat)
 
     assert pickle.dumps(batched) == pickle.dumps(single), "batched answers differ"
     assert pickle.dumps(parallel) == pickle.dumps(single), "parallel answers differ"

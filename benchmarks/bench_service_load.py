@@ -46,6 +46,7 @@ from repro.sparql.mappings import Mapping
 from repro.sparql.parser import parse_pattern
 from repro.rdf.triples import Triple
 from repro.service import QueryService, ReadWriteGate
+from repro.service.core import _percentile
 
 #: Minimum warm-service-over-fresh-baseline throughput ratio on the
 #: assertion cell (ISSUE 9 acceptance criterion).
@@ -121,13 +122,6 @@ def build_schedule(
             schedule.append(("update", "", (), (triple,), ()))
             schedule.append(("update", "", (), (), (triple,)))
     return schedule[:requests]
-
-
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, max(0, int(fraction * len(sorted_values))))
-    return sorted_values[rank]
 
 
 def run_closed_loop(

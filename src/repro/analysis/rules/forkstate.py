@@ -1,8 +1,8 @@
 """RP-FORKSTATE: worker-side mutation of module globals needs a guard.
 
 The pool workers in ``evaluation/session.py`` communicate with their task
-functions through module-level dicts (``_WORKER_STATE`` / ``_ENUM_STATE``)
-that the pool initializer rebinds in each worker process.  That pattern is
+function through a module-level dict (``_WORKER_STATE``) that the pool
+initializer rebinds in each worker process.  That pattern is
 fork-safe only under discipline: the parent must never read what a worker
 wrote, and the initializer must fully overwrite whatever a fork inherited.
 Because the discipline is invisible at the mutation site, this rule makes

@@ -1,8 +1,9 @@
 """RP-PICKLE: pool payload classes must be explicitly picklable (PR 3/5).
 
-The worker functions in ``evaluation/session.py`` / ``evaluation/batch.py``
-are the process-pool boundary: everything their signatures name travels
-through ``multiprocessing`` pickling on the spawn paths.  A payload class
+The worker functions in ``evaluation/session.py`` (the cell runner's pool
+initializer and task function) are the process-pool boundary: everything
+their signatures name travels through ``multiprocessing`` pickling on the
+spawn paths.  A payload class
 must therefore define ``__reduce__`` / ``__reduce_ex__`` / ``__getstate__``
 (or be a dataclass / NamedTuple, whose default pickling is structural), or
 be registered below with a rationale for why pickling never happens.
@@ -27,7 +28,7 @@ __all__ = ["PoolPayloadRule", "WORKER_NAME"]
 WORKER_NAME = re.compile(r"^(_init_\w*worker|_worker_\w+|_enum_\w+|_export_\w*delta)$")
 
 #: Files whose worker signatures define the pool boundary.
-_BOUNDARY_FILES = ("evaluation/session.py", "evaluation/batch.py")
+_BOUNDARY_FILES = ("evaluation/session.py",)
 
 #: Annotation names that are not payload classes.
 _NON_PAYLOAD = {

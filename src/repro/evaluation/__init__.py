@@ -1,6 +1,6 @@
 """Evaluation engines: naive semantics, the natural wdPF algorithm, the
 Theorem 1 pebble-relaxation algorithm, and the planned/cached service layer
-(plans, contexts, sessions, batching)."""
+(plans, contexts, sessions)."""
 
 from .naive import evaluate_pattern, pattern_contains
 from .budget import Budget, TimeoutReport
@@ -10,21 +10,14 @@ from ..exceptions import DeadlineExceeded, WorkerCrashError
 from .wdeval import (
     find_mu_subtree,
     tree_contains,
-    tree_contains_ctx,
     forest_contains,
-    forest_contains_ctx,
     tree_solutions,
     tree_solutions_stream,
     forest_solutions,
     forest_solutions_stream,
     EvaluationStatistics,
 )
-from .pebble_eval import (
-    tree_contains_pebble,
-    tree_contains_pebble_ctx,
-    forest_contains_pebble,
-    forest_contains_pebble_ctx,
-)
+from .pebble_eval import tree_contains_pebble, forest_contains_pebble
 from .extended import evaluate_extended, extended_pattern_contains
 from .cache import CacheDelta, CacheStatistics, EvaluationCache
 from .plan import (
@@ -40,7 +33,6 @@ from .plan import (
 )
 from .engine import Engine
 from .session import Session
-from .batch import BatchEngine, contains_many_patterns, contains_matrix
 
 __all__ = [
     "evaluate_pattern",
@@ -54,18 +46,14 @@ __all__ = [
     "EvalContext",
     "find_mu_subtree",
     "tree_contains",
-    "tree_contains_ctx",
     "forest_contains",
-    "forest_contains_ctx",
     "tree_solutions",
     "tree_solutions_stream",
     "forest_solutions",
     "forest_solutions_stream",
     "EvaluationStatistics",
     "tree_contains_pebble",
-    "tree_contains_pebble_ctx",
     "forest_contains_pebble",
-    "forest_contains_pebble_ctx",
     "evaluate_extended",
     "extended_pattern_contains",
     "CacheDelta",
@@ -82,7 +70,4 @@ __all__ = [
     "strategy_for",
     "Engine",
     "Session",
-    "BatchEngine",
-    "contains_many_patterns",
-    "contains_matrix",
 ]

@@ -51,7 +51,7 @@ strong references to every tree it has seen — prefer a bound for long-lived
 shared caches.
 
 A cache is shared safely between any number of :class:`Engine` /
-:class:`BatchEngine` instances — entries are keyed on the evaluated
+:class:`Session` instances — entries are keyed on the evaluated
 sub-instances, not on the owning engine, so patterns with common structure
 benefit from each other's work.
 

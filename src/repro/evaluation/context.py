@@ -1,17 +1,15 @@
-"""The evaluation context: one bundle for cache, statistics and pool settings.
+"""The evaluation context: one bundle for cache, statistics and budget.
 
-Before this module existed, every function in the evaluation layer threaded
-``(statistics, cache)`` as optional positional arguments — and each of them
-re-implemented the same "use the cache when there is one, fall back to the
-direct computation otherwise" branching.  :class:`EvalContext` reifies that
-environment:
+Every algorithm in the evaluation layer takes an :class:`EvalContext` as
+its optional last argument instead of threading ``(statistics, cache)``
+pairs and re-implementing the same "use the cache when there is one, fall
+back to the direct computation otherwise" branching.  The context reifies
+that environment:
 
 * ``cache`` — an optional :class:`~repro.evaluation.cache.EvaluationCache`;
 * ``statistics`` — an optional
   :class:`~repro.evaluation.wdeval.EvaluationStatistics` accumulator;
-* ``processes`` / ``warm_on_fork`` / ``stream_chunk_size`` — the worker-pool
-  settings of the batched entry points
-  (:class:`~repro.evaluation.session.Session`).
+* ``budget`` — an optional :class:`~repro.evaluation.budget.Budget`.
 
 The context also owns the cache-or-direct helpers (`mu_subtree`,
 `children_of`, `extension_exists`, `pebble_winner`, `homomorphisms`,
@@ -19,17 +17,15 @@ The context also owns the cache-or-direct helpers (`mu_subtree`,
 :mod:`~repro.evaluation.wdeval` / :mod:`~repro.evaluation.pebble_eval`
 contain the algorithm and nothing else, and the two code paths can never
 drift apart.  A context is immutable; derive variants with
-:meth:`with_statistics` / :meth:`with_cache`.
-
-The old ``(statistics, cache)`` signatures survive as thin shims
-(:meth:`EvalContext.of` builds the equivalent context), so existing callers
-and the tier-1 tests keep working unchanged.
+:meth:`with_statistics` / :meth:`with_cache` / :meth:`with_budget`.
+Worker-pool settings are not part of it: they belong to
+:class:`~repro.evaluation.session.Session`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 from .budget import Budget
 from .cache import EvaluationCache
@@ -59,47 +55,18 @@ class EvalContext:
     statistics:
         Optional per-run counter accumulator; the ``note_*`` helpers are
         no-ops when it is ``None``.
-    processes:
-        Default worker-pool size for the batched entry points (``None`` or
-        ``1`` = serial).
-    warm_on_fork:
-        Whether batched parallel runs warm the µ-independent cache state in
-        the parent before forking workers (see
-        :meth:`~repro.evaluation.session.Session.warm`).
-    stream_chunk_size:
-        Solutions per IPC message when parallel
-        :meth:`~repro.evaluation.session.Session.solutions_iter` streams a
-        cell's results across the process boundary.
     budget:
         Optional :class:`~repro.evaluation.budget.Budget` bounding the
         evaluation; the hot loops tick it through the cache-or-direct
         helpers below and raise
         :class:`~repro.exceptions.DeadlineExceeded` when it expires.
-    faults:
-        Test-only :class:`~repro.evaluation.faults.FaultPlan` hook; ``None``
-        in production.  Installed by the fault-injection harness so crash
-        paths can be driven deterministically (see
-        :mod:`repro.evaluation.faults`).
     """
 
     cache: Optional[EvaluationCache] = None
     statistics: Optional["EvaluationStatistics"] = None
-    processes: Optional[int] = None
-    warm_on_fork: bool = True
-    stream_chunk_size: int = 16
     budget: Optional[Budget] = None
-    faults: Optional[object] = None
 
     # --- construction --------------------------------------------------------
-    @classmethod
-    def of(
-        cls,
-        statistics: Optional["EvaluationStatistics"] = None,
-        cache: Optional[EvaluationCache] = None,
-    ) -> "EvalContext":
-        """The context equivalent to the legacy ``(statistics, cache)`` pair."""
-        return cls(cache=cache, statistics=statistics)
-
     def with_statistics(self, statistics: Optional["EvaluationStatistics"]) -> "EvalContext":
         """This context with *statistics* swapped in (no-op when unchanged)."""
         if statistics is self.statistics:

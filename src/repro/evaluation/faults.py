@@ -1,10 +1,10 @@
-"""Deterministic fault injection for the evaluation pool paths.
+"""Deterministic fault injection for the evaluation worker pool.
 
 A :class:`FaultPlan` describes, by **task position**, real faults to inject
 into a parallel evaluation: SIGKILL the worker that picks up a given task,
-stall the streaming result queue, raise inside a strategy hook, ship a
-stale or corrupted :class:`~repro.evaluation.cache.CacheDelta`, mutate the
-worker's graph copy mid-run, or swallow a streaming cell's terminal event.
+stall the result queue, raise inside a strategy hook, ship a stale or
+corrupted :class:`~repro.evaluation.cache.CacheDelta`, mutate the worker's
+graph copy mid-run, or swallow a cell's terminal event.
 The faults are *real* — an injected kill is ``os.kill(os.getpid(),
 SIGKILL)`` inside the worker, a stall is a real ``time.sleep`` holding the
 bounded IPC queue open — so the recovery paths in
@@ -13,8 +13,9 @@ crash would exercise them, not through mocks.
 
 A plan is installed through the test-only ``Session(faults=...)`` hook and
 travels to the workers inside the pool initializer arguments.  Positions
-make plans deterministic: task ``position`` is the submission index of the
-chunk / mapping / cell, fixed by the caller's input order.
+make plans deterministic: task ``position`` is the index of the cell (a
+chunk of mappings, or one pattern × graph enumeration), fixed by the
+caller's input order.
 
 Once-guards (``kill_once=True`` et al.) are shared
 :class:`multiprocessing.Value` flags **armed in the parent before the pool
@@ -95,7 +96,7 @@ class FaultPlan:
         every retry dies too, forcing the serial-degradation path.
     stall_at / stall_seconds:
         The worker picking up this task sleeps *stall_seconds* before
-        evaluating — a real streaming-queue stall (``stall_once`` bounds it
+        evaluating — a real result-queue stall (``stall_once`` bounds it
         to the first pickup).
     raise_at:
         The worker picking up this task raises :class:`FaultInjected`
@@ -114,9 +115,9 @@ class FaultPlan:
         version counter moves), so the export path must withhold the
         version stamp and the parent must drop the delta.
     drop_done_at:
-        A streaming worker enumerates this cell normally but swallows its
-        terminal ``done`` event — the silent-loss case the consumer-side
-        terminal-event accounting must catch.
+        A worker runs this cell normally but swallows its terminal
+        ``done`` event — the silent-loss case the drain's terminal-event
+        accounting must catch.
     """
 
     def __init__(
@@ -179,6 +180,11 @@ class FaultPlan:
             if self._kill_guard.take():
                 os.kill(os.getpid(), signal.SIGKILL)
 
+    def __getstate__(self) -> dict:
+        # Crosses the pool boundary in the initializer arguments: plain
+        # attributes plus the once-guards, which carry their own hooks.
+        return dict(self.__dict__)
+
     @staticmethod
     def _mutate(graph) -> None:
         """Bump the graph's version without changing its triples."""
@@ -196,7 +202,7 @@ class FaultPlan:
             graph.discard(probe)
 
     def drop_done(self, position: int) -> bool:
-        """Whether the streaming worker should swallow this cell's ``done``."""
+        """Whether the worker should swallow this cell's ``done``."""
         return (
             self.drop_done_at is not None
             and position == self.drop_done_at

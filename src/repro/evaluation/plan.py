@@ -18,9 +18,9 @@ instead of a string compared in several places:
   :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>`,
   :meth:`Engine.resolve_method
   <repro.evaluation.engine.Engine.resolve_method>`,
-  :meth:`Session.check_many <repro.evaluation.session.Session.check_many>`
-  and :class:`~repro.evaluation.batch.BatchEngine` all delegate here, so the
-  resolution logic can never disagree with itself again.
+  and :meth:`Session.check_many <repro.evaluation.session.Session.check_many>`
+  all delegate here, so the resolution logic can never disagree with itself
+  again.
 
 The resolution rules (unchanged semantics, now in one place):
 
@@ -140,9 +140,13 @@ class Strategy:
         mappings: Iterable[Mapping],
         plan: "Plan",
         context: EvalContext,
-    ) -> List[bool]:
-        """Batched membership (already deduplicated by the caller)."""
-        return [self.contains(pattern, forest, graph, mu, plan, context) for mu in mappings]
+    ) -> Iterator[bool]:
+        """Batched membership over a deduplicated batch, in input order.
+
+        Lazy: each verdict is decided when it is pulled, so one pass serves
+        blocking and streaming consumers alike.
+        """
+        return (self.contains(pattern, forest, graph, mu, plan, context) for mu in mappings)
 
     def solutions_stream(
         self,
@@ -212,9 +216,11 @@ class NaiveStrategy(Strategy):
         return pattern_contains(pattern, graph, mu, context.budget)
 
     def contains_many(self, pattern, forest, graph, mappings, plan, context):
-        # One materialisation of the full answer set serves every mapping.
+        # One materialisation of the full answer set (on the first pull)
+        # serves every mapping.
         answer_set = evaluate_pattern(pattern, graph, context.budget)
-        return [mu in answer_set for mu in mappings]
+        for mu in mappings:
+            yield mu in answer_set
 
     def solutions_stream(self, pattern, forest, graph, context):
         return iter(evaluate_pattern(pattern, graph, context.budget))
@@ -229,9 +235,9 @@ class NaturalStrategy(Strategy):
     uses_width = False
 
     def contains(self, pattern, forest, graph, mu, plan, context):
-        from .wdeval import forest_contains_ctx  # deferred: wdeval imports plan's context
+        from .wdeval import forest_contains  # deferred: wdeval imports plan's context
 
-        return forest_contains_ctx(forest, graph, mu, context)
+        return forest_contains(forest, graph, mu, context)
 
     def solutions_stream(self, pattern, forest, graph, context):
         from .wdeval import forest_solutions_stream
@@ -252,9 +258,9 @@ class PebbleStrategy(Strategy):
     uses_width = True
 
     def contains(self, pattern, forest, graph, mu, plan, context):
-        from .pebble_eval import forest_contains_pebble_ctx
+        from .pebble_eval import forest_contains_pebble
 
-        return forest_contains_pebble_ctx(forest, graph, mu, plan.width, context)
+        return forest_contains_pebble(forest, graph, mu, plan.width, context)
 
     def warm(self, forest, graph, plan, cache, mappings=None):
         return cache.warm_pebble(

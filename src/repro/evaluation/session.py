@@ -13,45 +13,52 @@ candidate mappings, many patterns, many graphs — behind one shared cache.
   :meth:`plan` / :meth:`explain` expose the decision;
 * :meth:`check_many` answers many mappings (deduplicated, optionally over a
   ``multiprocessing`` pool) with answers guaranteed identical to a loop of
-  :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>` calls;
+  :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>` calls,
+  and :meth:`check_iter` streams the same verdicts in input order;
 * :meth:`solutions_stream` enumerates lazily (a deduplicated generator);
   :meth:`solutions_many` batches enumeration over many patterns × many
-  graphs — duplicate cells are evaluated once and fanned back out, and an
-  opt-in pool enumerates distinct cells in parallel;
-* :meth:`solutions_iter` streams those batched results **incrementally** —
-  ``(cell, solution)`` pairs as cells complete, in submission or completion
-  order — instead of blocking until the whole batch is done; parallel runs
-  stream *within* a cell too: workers push fixed-size solution chunks over
-  a bounded IPC queue, so the consumer sees the first solutions of a cell
-  while the worker is still enumerating it;
-* parallel enumeration uses the same warm-fork path as membership: on the
-  ``fork`` start method the parent warms the µ-independent cache state and
-  workers inherit the live session (indexes, homomorphism lists, memoized
-  child tests) instead of rebuilding caches from scratch;
-* every parallel entry point has a **return channel**: workers journal what
-  they learn and ship it back as a picklable, version-stamped
+  graphs — duplicate cells are evaluated once and fanned back out — and
+  :meth:`solutions_iter` streams those batched results **incrementally**,
+  ``(cell, solution)`` pairs in submission or completion order.
+
+**One cell runner.**  Every batched entry point cuts its work into *cells*
+— a pattern, a graph, and either a chunk of mappings (membership) or none
+(enumeration) — and consumes the event stream of one parent-side drain.
+One cell function computes a cell's items: ``(offset, verdict)`` pairs
+for membership, solution mappings for enumeration.  Serial batches run it
+in-process; with a pool every worker runs it on its tasks and streams the
+items back as ``chunk``/``done`` messages over one bounded IPC queue, so
+consumers see the first items of a cell while the worker is still
+computing it.  Around that single function the drain provides:
+
+* **warm forks**: on the ``fork`` start method the parent warms the
+  µ-independent cache state and workers inherit the live session
+  (indexes, homomorphism lists, memoized child tests) instead of
+  rebuilding caches from scratch;
+* a **return channel**: workers journal what they learn and ship it back
+  as a picklable, version-stamped
   :class:`~repro.evaluation.cache.CacheDelta` the parent merges through
   :meth:`EvaluationCache.absorb
   <repro.evaluation.cache.EvaluationCache.absorb>` — so a repeated batch
-  over the same cells replays from the parent cache instead of recomputing
-  (cells the parent can already answer completely never reach the pool);
-* every pool path is **crash-aware**: worker deaths are detected (not
-  waited out), the affected tasks are retried once on the surviving
-  workers, and a second failure degrades the remainder to serial
-  re-execution in the parent — answers are never lost and never
-  duplicated, and the recovery is accounted in
+  over the same cells replays from the parent cache instead of
+  recomputing (enumeration cells the parent can already answer completely
+  never reach the pool);
+* **crash recovery**: worker deaths are detected (not waited out), the
+  unfinished cells are resubmitted once on the surviving workers, and a
+  second failure degrades them to serial re-execution of the same cell
+  function in the parent.  An emitted-item ledger makes answers never
+  lost and never duplicated, and the recovery is accounted in
   :class:`~repro.evaluation.wdeval.EvaluationStatistics`
   (``worker_crashes`` / ``cells_degraded_serial`` / ``cells_lost``);
-* wall-clock / step budgets (:class:`~repro.evaluation.budget.Budget`)
-  travel with the tasks into the workers; a deadline-bounded
-  :meth:`solutions_iter` yields its partial results and then a terminal
-  :class:`~repro.evaluation.budget.TimeoutReport` instead of hanging; and
-  a deterministic fault-injection harness
-  (:mod:`repro.evaluation.faults`) drives all of these paths in tests
-  with real SIGKILLs and real queue stalls.
+* **budgets**: wall-clock / step budgets
+  (:class:`~repro.evaluation.budget.Budget`) travel with the cells into
+  the workers; a deadline-bounded :meth:`solutions_iter` yields its
+  partial results and then a terminal
+  :class:`~repro.evaluation.budget.TimeoutReport` instead of hanging.
 
-:class:`~repro.evaluation.batch.BatchEngine` is a single-pattern adapter
-over this class.
+A deterministic fault-injection harness (:mod:`repro.evaluation.faults`)
+drives all of these paths in tests with real SIGKILLs and real queue
+stalls.
 """
 
 from __future__ import annotations
@@ -61,15 +68,30 @@ import threading
 import warnings
 from queue import Empty
 from time import monotonic, sleep
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypedDict,
+    Union,
+)
 
 from .budget import Budget, TimeoutReport, budget_from
 from .cache import CacheDelta, EvaluationCache
 from .context import EvalContext
 from .engine import Engine
-from .plan import Plan, Planner
+from .faults import FaultPlan
+from .plan import Plan
 from .wdeval import EvaluationStatistics
 from ..patterns.forest import WDPatternForest
+from ..patterns.tree import WDPatternTree
 from ..rdf.graph import RDFGraph
 from ..sparql.algebra import GraphPattern
 from ..sparql.mappings import Mapping
@@ -85,286 +107,205 @@ __all__ = ["Session", "PatternLike"]
 #: Anything a session entry point accepts as "a pattern".
 PatternLike = Union[Engine, GraphPattern, WDPatternForest]
 
-#: How many times one task may be attempted on the pool before the parent
+#: How many times one cell may be attempted on the pool before the parent
 #: re-runs it serially (1 original + 1 retry after a worker crash).
 _MAX_TASK_ATTEMPTS = 2
 
 #: Backoff after a detected worker crash, giving the pool a beat to reap
-#: the corpse and respawn a replacement before tasks are resubmitted.
+#: the corpse and respawn a replacement before cells are resubmitted.
 _CRASH_BACKOFF_SECONDS = 0.05
+
+#: How long one read of the result queue blocks before the drain re-checks
+#: the budget, the worker processes and the grace clock.
+_POLL_SECONDS = 0.05
+
+#: Solutions a pooled :meth:`Session.solutions_iter` worker bundles per IPC
+#: message unless the call passes ``chunk_size=``.  Smaller chunks lower the
+#: latency to the first solution of a cell; larger chunks lower the queue
+#: overhead.
+_STREAM_CHUNK_SIZE = 16
+
+
+class _Cell(NamedTuple):
+    """One unit of batched work: a pattern's engine, a graph, the resolved
+    plan, and the deduplicated mappings to decide — or ``None`` to
+    enumerate the cell's answer set."""
+
+    engine: Engine
+    graph: RDFGraph
+    plan: Plan
+    mappings: Optional[Tuple[Mapping, ...]]
+
+
+#: A drain event ``(tag, position, items)``: ``"chunk"`` carries newly
+#: computed items of cell *position*, ``"done"`` closes the cell with its
+#: remaining items, and ``"timeout"`` (position ``-1``) carries the one
+#: terminal :class:`~repro.evaluation.budget.TimeoutReport`.
+_Event = Tuple[str, int, List[Any]]
+
+#: What crosses the pool boundary per cell: ``(position, engine slot,
+#: graph slot, plan, mappings)``.  Only forests and graphs are shipped (once
+#: per worker, in the initializer arguments); tasks index into them.
+_Task = Tuple[int, int, int, Plan, Optional[Tuple[Mapping, ...]]]
+
+
+def _cell_items(
+    engine: Engine,
+    graph: RDFGraph,
+    plan: Plan,
+    mappings: Optional[Tuple[Mapping, ...]],
+    context: EvalContext,
+) -> Iterator[Any]:
+    """The one cell function: the items of one cell, computed lazily.
+
+    ``(offset, verdict)`` pairs for a membership cell — one lazy
+    :meth:`~repro.evaluation.plan.Strategy.contains_many` pass over its
+    mappings, so the naive strategy materialises ``⟦P⟧G`` once per cell —
+    and solution mappings for an enumeration cell.  The parent runs it
+    in-process (serial batches and serial degradation); pool workers run
+    it on every task they pick up.
+    """
+    context.check_budget()  # pre-expired budgets trip before any work
+    strategy = plan.strategy_obj
+    if mappings is None:
+        return strategy.solutions_stream(engine.pattern, engine.forest, graph, context)
+    return enumerate(
+        strategy.contains_many(engine.pattern, engine.forest, graph, mappings, plan, context)
+    )
 
 
 # --- multiprocessing plumbing -------------------------------------------------
 #
-# Membership workers are initialised once per pool with the forest and graph
-# and then stream mappings; each worker owns an EvaluationCache so the
-# per-graph index, memo tables and consistency kernels are built once per
-# worker, not per task.
-#
-# With the ``fork`` start method the parent warms its own cache *before* the
-# pool is created and hands the live engine to the initializer — fork does not
-# pickle initargs, so every worker starts with the precomputed kernels and
-# target index already in (copy-on-write shared) memory.  Other start methods
-# receive pickled copies and rebuild the µ-independent state once per worker
-# in the initializer instead of lazily per task.
+# Workers are initialised once per pool with every forest and graph the
+# batch touches (pickled once per worker under non-fork start methods) and
+# then receive cells as small index tuples.  Each worker evaluates through a
+# Session of its own, so the per-graph index, memo tables and consistency
+# kernels are built once per worker, not per cell.  With the ``fork`` start
+# method the parent warms its cache first and hands its **live session** to
+# the initializer — fork does not pickle initargs, so every worker starts
+# with the parent's target indexes, kernels, memoized homomorphism lists and
+# child-test verdicts already in (copy-on-write shared) memory.
 #
 # Either way the learning is two-directional: every worker journals what it
 # memoizes (EvaluationCache.collect_deltas) and ships the journal back as a
-# version-stamped CacheDelta alongside its results; the parent absorbs the
+# version-stamped CacheDelta with each finished cell; the parent absorbs the
 # deltas, so the pool's work outlives the pool.  Version stamps are the
 # *parent's* graph versions at pool creation — a worker's own (pickled or
 # forked) version counter is meaningless parent-side — and a worker whose
 # graph copy mutated withholds the stamp, so stale state is never shipped.
 #
-# Tasks carry their submission *position* so that (a) the parent can match
+# Tasks carry their cell *position* so that (a) the parent can match
 # retried / degraded work without trusting pool ordering and (b) the
-# fault-injection harness can target "the worker that picks up task N"
+# fault-injection harness can target "the worker that picks up cell N"
 # deterministically.  An optional Budget travels in the initargs (absolute
 # monotonic deadlines stay meaningful across processes on Linux), as does
 # the test-only FaultPlan.
 
+
+class _WorkerState(TypedDict, total=False):
+    session: "Session"
+    engines: List[Engine]
+    graphs: List[RDFGraph]
+    trees: List[WDPatternTree]
+    parent_versions: List[int]
+    base_versions: List[int]
+    queue: Any
+    chunk_size: Optional[int]
+    context: EvalContext
+    faults: Optional[FaultPlan]
+
+
 # fork-safe: rebound wholesale by _init_worker in every worker process
 # before any task runs, and never read in the parent — fork-inherited
 # contents are inert, so worker writes cannot leak across the boundary.
-_WORKER_STATE: Dict[str, object] = {}
+_WORKER_STATE: _WorkerState = {}
 
 
 def _init_worker(
-    forest: WDPatternForest,
-    width_bound: Optional[int],
-    graph: RDFGraph,
-    method: str,
-    width: Optional[int],
-    warm_engine: Optional[Engine] = None,
-    parent_version: Optional[int] = None,
-    budget: Optional[Budget] = None,
-    faults: Optional[object] = None,
-) -> None:
-    if warm_engine is not None:
-        # Fork path: the parent's engine (and its warmed cache) arrives by
-        # address, not by pickle; reuse it directly.
-        engine = warm_engine
-    else:
-        engine = Engine(forest=forest, width_bound=width_bound, cache=EvaluationCache())
-        cache = engine.cache
-        if cache is not None:
-            plan = engine.plan(method, width)
-            plan.strategy_obj.warm(engine.forest, graph, plan, cache)
-    if engine.cache is not None:
-        engine.cache.collect_deltas()
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["method"] = method
-    _WORKER_STATE["width"] = width
-    _WORKER_STATE["trees"] = list(forest)
-    _WORKER_STATE["parent_version"] = parent_version
-    _WORKER_STATE["base_version"] = graph.version
-    _WORKER_STATE["budget"] = budget
-    _WORKER_STATE["faults"] = faults
-
-
-def _export_membership_delta() -> Optional[CacheDelta]:
-    """The membership worker's learned-state delta since the last export."""
-    engine: Engine = _WORKER_STATE["engine"]  # type: ignore[assignment]
-    if engine.cache is None:
-        return None
-    graph: RDFGraph = _WORKER_STATE["graph"]  # type: ignore[assignment]
-    # Stamp with the parent's version only while our copy is unmutated.
-    stamp = (
-        _WORKER_STATE["parent_version"]
-        if graph.version == _WORKER_STATE["base_version"]
-        else None
-    )
-    delta = engine.cache.export_delta(
-        [graph], _WORKER_STATE["trees"], [stamp]  # type: ignore[arg-type]
-    )
-    faults = _WORKER_STATE.get("faults")
-    if faults is not None:
-        delta = faults.tamper_delta(delta)  # type: ignore[union-attr]
-    return delta
-
-
-def _worker_contains(task: Tuple[int, Mapping]) -> Tuple[bool, Optional[CacheDelta]]:
-    """One verdict + delta per task — the streaming (check_iter) shape."""
-    position, mu = task
-    engine: Engine = _WORKER_STATE["engine"]  # type: ignore[assignment]
-    graph: RDFGraph = _WORKER_STATE["graph"]  # type: ignore[assignment]
-    faults = _WORKER_STATE.get("faults")
-    if faults is not None:
-        faults.fire(position, graph)  # type: ignore[union-attr]
-    answer = engine.contains(
-        graph,
-        mu,
-        method=_WORKER_STATE["method"],  # type: ignore[arg-type]
-        width=_WORKER_STATE["width"],  # type: ignore[arg-type]
-        budget=_WORKER_STATE.get("budget"),  # type: ignore[arg-type]
-    )
-    return answer, _export_membership_delta()
-
-
-def _worker_contains_chunk(
-    task: Tuple[int, List[Mapping]],
-) -> Tuple[List[bool], Optional[CacheDelta]]:
-    """Many verdicts + one delta per task — the blocking (check_many) shape.
-
-    The blocking path absorbs deltas only after the chunk returns, so
-    shipping one per mapping would pay per-message pickling for zero
-    latency gain; the parent chunks the batch instead.
-    """
-    position, mappings = task
-    engine: Engine = _WORKER_STATE["engine"]  # type: ignore[assignment]
-    graph: RDFGraph = _WORKER_STATE["graph"]  # type: ignore[assignment]
-    faults = _WORKER_STATE.get("faults")
-    if faults is not None:
-        faults.fire(position, graph)  # type: ignore[union-attr]
-    answers = [
-        engine.contains(
-            graph,
-            mu,
-            method=_WORKER_STATE["method"],  # type: ignore[arg-type]
-            width=_WORKER_STATE["width"],  # type: ignore[arg-type]
-            budget=_WORKER_STATE.get("budget"),  # type: ignore[arg-type]
-        )
-        for mu in mappings
-    ]
-    return answers, _export_membership_delta()
-
-
-# Enumeration workers are initialised once per pool with every forest and
-# graph the batch touches (pickled once per worker under non-fork start
-# methods) and then receive cells as plain index triples.  With the ``fork``
-# start method the parent warms its cache first and hands its **live
-# session** to the initializer — fork does not pickle initargs, so every
-# worker starts with the parent's target indexes, memoized homomorphism
-# lists and child-test verdicts already in (copy-on-write shared) memory
-# instead of rebuilding them from scratch.  Streaming pools additionally
-# receive a bounded result queue: workers push fixed-size solution chunks
-# while they enumerate (backpressured by the queue bound) instead of
-# returning whole cells.
-
-# fork-safe: rebound wholesale by _init_enum_worker in every worker process
-# before any task runs, and never read in the parent — fork-inherited
-# contents are inert, so worker writes cannot leak across the boundary.
-_ENUM_STATE: Dict[str, object] = {}
-
-
-def _init_enum_worker(
+    warm_session: Optional["Session"],
     forests: List[WDPatternForest],
     graphs: List[RDFGraph],
-    method: str,
-    warm_session: Optional["Session"] = None,
-    parent_versions: Optional[List[int]] = None,
-    result_queue: Optional[object] = None,
-    chunk_size: int = 1,
-    budget: Optional[Budget] = None,
-    faults: Optional[object] = None,
+    parent_versions: List[int],
+    queue: Any,
+    chunk_size: Optional[int],
+    budget: Optional[Budget],
+    faults: Optional[FaultPlan],
 ) -> None:
-    if warm_session is not None:
-        # Fork path: the parent's session (engines + warmed cache) arrives
-        # by address, not by pickle; reuse it directly.
-        session = warm_session
-    else:
-        session = Session()
+    global _WORKER_STATE
+    # Fork path: the parent's session (engines + warmed cache) arrives by
+    # address, not by pickle; other start methods build a cold one.
+    session = warm_session if warm_session is not None else Session()
     session.cache.collect_deltas()
-    _ENUM_STATE["session"] = session
-    _ENUM_STATE["forests"] = forests
-    _ENUM_STATE["graphs"] = graphs
-    _ENUM_STATE["method"] = method
-    _ENUM_STATE["trees"] = [tree for forest in forests for tree in forest]
-    _ENUM_STATE["parent_versions"] = (
-        parent_versions if parent_versions is not None else [g.version for g in graphs]
-    )
-    _ENUM_STATE["base_versions"] = [g.version for g in graphs]
-    _ENUM_STATE["queue"] = result_queue
-    _ENUM_STATE["chunk_size"] = chunk_size
-    _ENUM_STATE["budget"] = budget
-    _ENUM_STATE["faults"] = faults
+    _WORKER_STATE = {
+        "session": session,
+        "engines": [session.engine(forest) for forest in forests],
+        "graphs": graphs,
+        "trees": [tree for forest in forests for tree in forest],
+        "parent_versions": parent_versions,
+        "base_versions": [graph.version for graph in graphs],
+        "queue": queue,
+        "chunk_size": chunk_size,
+        "context": EvalContext(cache=session.cache, budget=budget),
+        "faults": faults,
+    }
 
 
-def _export_enum_delta() -> Optional[CacheDelta]:
+def _export_delta() -> Optional[CacheDelta]:
     """The worker's learned-state delta since the last export (or ``None``)."""
-    session: "Session" = _ENUM_STATE["session"]  # type: ignore[assignment]
-    graphs: List[RDFGraph] = _ENUM_STATE["graphs"]  # type: ignore[assignment]
+    state = _WORKER_STATE
+    # Stamp each graph with the parent's version only while our copy is
+    # unmutated.
     stamps = [
         parent if graph.version == base else None
         for graph, base, parent in zip(
-            graphs,
-            _ENUM_STATE["base_versions"],  # type: ignore[arg-type]
-            _ENUM_STATE["parent_versions"],  # type: ignore[arg-type]
+            state["graphs"], state["base_versions"], state["parent_versions"]
         )
     ]
-    delta = session.cache.export_delta(graphs, _ENUM_STATE["trees"], stamps)  # type: ignore[arg-type]
-    faults = _ENUM_STATE.get("faults")
-    if faults is not None:
-        delta = faults.tamper_delta(delta)  # type: ignore[union-attr]
-    return delta
+    delta = state["session"].cache.export_delta(state["graphs"], state["trees"], stamps)
+    faults = state["faults"]
+    return faults.tamper_delta(delta) if faults is not None else delta
 
 
-def _enum_worker_cell(
-    task: Tuple[int, int, int],
-) -> Tuple[Set[Mapping], Optional[CacheDelta]]:
-    """Enumerate one distinct (pattern, graph) cell in a worker process.
+def _worker_run_cell(
+    # Spelled out (not the _Task alias) so RP-PICKLE sees the payload classes.
+    task: Tuple[int, int, int, Plan, Optional[Tuple[Mapping, ...]]],
+) -> int:
+    """Run one cell in a worker and stream its items back over the queue.
 
-    Only forests cross the process boundary (the picklable normal form); the
-    naive strategy evaluates the pattern rebuilt from the forest, which has
-    the same solutions by the normal-form semantics.  The returned delta
-    carries whatever the worker memoized for the cell.
+    Messages are ``(tag, position, payload, delta)``: ``"chunk"`` with a
+    list of items every ``chunk_size`` items (streaming consumers only),
+    ``"done"`` with the remaining items and the worker's
+    :class:`~repro.evaluation.cache.CacheDelta` on completion,
+    ``"deadline"`` when the cell's budget trips, and ``"error"`` on any
+    other failure (both with a description).  The queue is bounded, so a
+    slow parent backpressures the workers instead of buffering whole cells
+    in the pipe.  Every task ends with exactly one terminal message (or a
+    dead worker, which the parent detects) — the parent counts terminals,
+    so a cell can never go missing silently.
     """
-    position, forest_index, graph_index = task
-    session: "Session" = _ENUM_STATE["session"]  # type: ignore[assignment]
-    graph: RDFGraph = _ENUM_STATE["graphs"][graph_index]  # type: ignore[index]
-    faults = _ENUM_STATE.get("faults")
-    if faults is not None:
-        faults.fire(position, graph)  # type: ignore[union-attr]
-    answers = session.solutions(
-        _ENUM_STATE["forests"][forest_index],  # type: ignore[index]
-        graph,
-        method=_ENUM_STATE["method"],  # type: ignore[arg-type]
-        budget=_ENUM_STATE.get("budget"),  # type: ignore[arg-type]
-    )
-    return answers, _export_enum_delta()
-
-
-def _enum_stream_worker_cell(task: Tuple[int, int, int]) -> int:
-    """Stream one cell's solutions back in fixed-size chunks over the queue.
-
-    Messages are ``("chunk", position, [mappings])`` while enumerating,
-    ``("done", position, [tail mappings], delta)`` on completion,
-    ``("deadline", position, description)`` when the cell's budget trips,
-    and ``("error", position, description)`` on any other failure.  The
-    queue is bounded, so a slow parent backpressures the workers instead of
-    buffering whole cells in the pipe.  Every task ends with exactly one
-    terminal message (or a dead worker, which the parent detects) — the
-    parent counts terminals, so a cell can never go missing silently.
-    """
-    position, forest_index, graph_index = task
-    queue = _ENUM_STATE["queue"]
-    chunk_size: int = _ENUM_STATE["chunk_size"]  # type: ignore[assignment]
-    session: "Session" = _ENUM_STATE["session"]  # type: ignore[assignment]
-    graph: RDFGraph = _ENUM_STATE["graphs"][graph_index]  # type: ignore[index]
-    faults = _ENUM_STATE.get("faults")
+    position, engine_slot, graph_slot, plan, mappings = task
+    state = _WORKER_STATE
+    queue, chunk_size, faults = state["queue"], state["chunk_size"], state["faults"]
+    graph = state["graphs"][graph_slot]
     try:
         if faults is not None:
-            faults.fire(position, graph)  # type: ignore[union-attr]
-        buffer: List[Mapping] = []
-        for mu in session.solutions_stream(
-            _ENUM_STATE["forests"][forest_index],  # type: ignore[index]
-            graph,
-            method=_ENUM_STATE["method"],  # type: ignore[arg-type]
-            budget=_ENUM_STATE.get("budget"),  # type: ignore[arg-type]
+            faults.fire(position, graph)
+        buffer: List[Any] = []
+        for item in _cell_items(
+            state["engines"][engine_slot], graph, plan, mappings, state["context"]
         ):
-            buffer.append(mu)
-            if len(buffer) >= chunk_size:
-                queue.put(("chunk", position, buffer))  # type: ignore[union-attr]
+            buffer.append(item)
+            if chunk_size is not None and len(buffer) >= chunk_size:
+                queue.put(("chunk", position, buffer, None))
                 buffer = []
-        delta = _export_enum_delta()
-        if faults is not None and faults.drop_done(position):  # type: ignore[union-attr]
+        delta = _export_delta()
+        if faults is not None and faults.drop_done(position):
             return position  # injected silent loss: swallow the terminal event
-        queue.put(("done", position, buffer, delta))  # type: ignore[union-attr]
+        queue.put(("done", position, buffer, delta))
     except DeadlineExceeded as error:
-        queue.put(("deadline", position, str(error)))  # type: ignore[union-attr]
+        queue.put(("deadline", position, str(error), None))
     except Exception as error:  # surfaced parent-side as an EvaluationError
-        queue.put(("error", position, f"{type(error).__name__}: {error}"))  # type: ignore[union-attr]
+        queue.put(("error", position, f"{type(error).__name__}: {error}", None))
     return position
 
 
@@ -461,7 +402,7 @@ class Session:
     points warm the µ-independent cache state before forking so workers
     inherit hot indexes, kernels, homomorphism lists and recorded answer
     lists.  Every cache/pool/warm feature is answer-preserving, and every
-    pool path recovers from worker crashes (retry once, then serial re-run
+    pool run recovers from worker crashes (retry once, then serial re-run
     in the parent) without losing or duplicating answers.
 
     **Thread safety.**  One session may be driven from multiple threads —
@@ -491,29 +432,24 @@ class Session:
         default) means unbounded — like the cache, prefer a bound for
         long-lived sessions serving a stream of distinct ad-hoc patterns.
     warm_on_fork:
-        Whether batched parallel membership warms the µ-independent cache
-        state in the parent before forking workers (default ``True``; see
+        Whether batched parallel runs warm the µ-independent cache state in
+        the parent before forking workers (default ``True``; see
         :meth:`warm`).  On start methods other than ``fork`` warming cannot
         engage — the session then emits a one-time :class:`RuntimeWarning`
         and runs the pool cold (see :meth:`worker_mode`).
-    stream_chunk_size:
-        How many solutions a parallel :meth:`solutions_iter` worker bundles
-        per IPC message (default 16).  Smaller chunks lower the latency to
-        the first solution of a cell; larger chunks lower the queue
-        overhead.  Per-call ``chunk_size=`` overrides it.
     stream_grace_seconds:
-        How long a pool path waits on a **silent** result channel before
+        How long a pool run waits on a **silent** result channel before
         acting (default 5.0).  After a worker crash, silence this long
-        triggers serial degradation of the unfinished work (a killed worker
-        can poison the shared task queue, wedging the survivors); without a
-        crash, it is how long the streaming path keeps draining after every
+        triggers serial degradation of the unfinished cells (a killed
+        worker can poison the shared task queue, wedging the survivors);
+        without a crash, it is how long the drain keeps waiting after every
         worker returned before declaring missing terminal events an error.
         Liveness-based: any message or crash observation resets the clock,
         so slow cells are never cut off — only genuinely dead channels.
     faults:
         Test-only :class:`~repro.evaluation.faults.FaultPlan` injecting
-        deterministic worker faults into the pool paths; ``None`` (always,
-        in production) disables injection entirely.
+        deterministic worker faults into pool runs; ``None`` (always, in
+        production) disables injection entirely.
 
     >>> from repro.sparql import parse_pattern
     >>> from repro.rdf import RDFGraph, Triple
@@ -532,28 +468,21 @@ class Session:
         max_entries_per_graph: Optional[int] = None,
         max_engines: Optional[int] = None,
         warm_on_fork: bool = True,
-        stream_chunk_size: int = 16,
         stream_grace_seconds: float = 5.0,
-        faults: Optional[object] = None,
+        faults: Optional[FaultPlan] = None,
     ) -> None:
         if processes is not None and processes < 1:
             raise EvaluationError("processes must be a positive integer")
         if max_engines is not None and max_engines < 1:
             raise EvaluationError("max_engines must be a positive integer")
-        if stream_chunk_size < 1:
-            raise EvaluationError("stream_chunk_size must be a positive integer")
         if stream_grace_seconds <= 0:
             raise EvaluationError("stream_grace_seconds must be positive")
         self._cache = (
             cache if cache is not None else EvaluationCache(max_entries_per_graph)
         )
-        self._context = EvalContext(
-            cache=self._cache,
-            processes=processes,
-            warm_on_fork=warm_on_fork,
-            stream_chunk_size=stream_chunk_size,
-            faults=faults,
-        )
+        self._context = EvalContext(cache=self._cache)
+        self._processes = processes
+        self._warm_on_fork = warm_on_fork
         self._max_engines = max_engines
         self._stream_grace_seconds = float(stream_grace_seconds)
         self._faults = faults
@@ -578,11 +507,6 @@ class Session:
         return self._cache
 
     @property
-    def context(self) -> EvalContext:
-        """The base evaluation context (cache + pool settings)."""
-        return self._context
-
-    @property
     def engine_count(self) -> int:
         """How many engines the session currently memoizes."""
         with self._memo_lock:
@@ -602,7 +526,7 @@ class Session:
     def __repr__(self) -> str:
         return (
             f"Session(<{self.engine_count} engines, "
-            f"processes={self._context.processes}, "
+            f"processes={self._processes}, "
             f"workers={self.worker_mode()}>)"
         )
 
@@ -619,13 +543,13 @@ class Session:
         resilience events (worker crashes, serial degradations, deadline
         trips, lost cells) the mode string carries a bracketed summary.
         """
-        processes = processes if processes is not None else self._context.processes
+        processes = processes if processes is not None else self._processes
         if processes is None or processes <= 1:
             mode = "serial"
         else:
             start_method = _start_method()
             if start_method == "fork":
-                mode = "fork-warm" if self._context.warm_on_fork else "fork-cold"
+                mode = "fork-warm" if self._warm_on_fork else "fork-cold"
             else:
                 mode = start_method
         with self._memo_lock:
@@ -667,24 +591,18 @@ class Session:
             if exc.statistics is None:
                 exc.statistics = statistics
 
-    def _armed_faults(self, ctx) -> Optional[object]:
-        """The session's fault plan, armed for *ctx* (``None`` in production)."""
-        if self._faults is None:
-            return None
-        return self._faults.arm(ctx)  # type: ignore[union-attr]
-
     @staticmethod
-    def _harvest(result):
-        """Unwrap one async result, normalising raw escapes to ReproError.
+    def _harvest(result) -> None:
+        """Surface a failure hidden in one async task result.
 
-        Library exceptions (including :class:`DeadlineExceeded`) pass
-        through unchanged; transport-layer failures (broken pipes, EOF on a
-        dead connection) become :class:`WorkerCrashError`; anything else a
-        worker raised becomes :class:`EvaluationError` — no raw
-        ``multiprocessing`` exception ever escapes a session entry point.
+        Library exceptions pass through unchanged; transport-layer failures
+        (broken pipes, EOF on a dead connection) become
+        :class:`WorkerCrashError`; anything else a worker raised becomes
+        :class:`EvaluationError` — no raw ``multiprocessing`` exception ever
+        escapes a session entry point.
         """
         try:
-            return result.get()
+            result.get()
         except ReproError:
             raise
         except (OSError, EOFError, multiprocessing.ProcessError) as error:
@@ -696,97 +614,6 @@ class Session:
             raise EvaluationError(
                 f"evaluation worker failed: {type(error).__name__}: {error}"
             ) from error
-
-    def _supervise(
-        self,
-        pool,
-        func,
-        tasks: Sequence[object],
-        serial_fallback,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[Tuple[int, object]]:
-        """Run *tasks* through *pool* with crash detection and bounded retry.
-
-        Every task is submitted individually (``apply_async``) and the
-        pool's worker processes are watched for deaths; recovery follows a
-        three-rung ladder:
-
-        1. healthy pool — results are harvested as they become ready;
-        2. after a crash, every unfinished task is resubmitted once on the
-           surviving/respawned workers (first completion wins, so a task
-           that was healthy all along is never answered twice);
-        3. a task whose retry is also lost — or any task still unfinished
-           once post-crash silence outlasts ``stream_grace_seconds`` (a
-           killed worker can die holding the shared task-queue lock and
-           wedge the survivors) — is re-run serially in the parent through
-           *serial_fallback*.
-
-        Yields ``(position, value)`` exactly once per task, in completion
-        order.  A *budget* is checked between sweeps, so a deadline fires
-        promptly even while the pool is quiet.
-        """
-        watch = _PoolWatch(pool)
-        pending: Dict[int, List[object]] = {}
-        attempts: Dict[int, int] = {}
-
-        def submit(position: int) -> bool:
-            try:
-                pending.setdefault(position, []).append(
-                    pool.apply_async(func, (tasks[position],))
-                )
-                return True
-            except Exception:  # pool already broken/closed: degrade
-                return False
-
-        def degrade(position: int) -> Tuple[int, object]:
-            pending.pop(position, None)
-            self._note("cells_degraded_serial", statistics=statistics)
-            return position, serial_fallback(position)
-
-        for position in range(len(tasks)):
-            attempts[position] = 1
-            if not submit(position):
-                yield degrade(position)
-        last_progress = monotonic()
-        while pending:
-            if budget is not None:
-                budget.check()  # raises DeadlineExceeded; pool exits with us
-            progressed = False
-            for position in sorted(pending):
-                value, completed = None, False
-                for result in pending[position]:
-                    if result.ready():
-                        value = self._harvest(result)
-                        completed = True
-                        break
-                if completed:
-                    del pending[position]
-                    progressed = True
-                    last_progress = monotonic()
-                    yield position, value
-            if not pending:
-                break
-            fresh = watch.poll()
-            if fresh:
-                self._note("worker_crashes", fresh, statistics)
-                last_progress = monotonic()
-                sleep(_CRASH_BACKOFF_SECONDS)
-                # The dying worker's in-flight task is unknowable from the
-                # outside, so resubmit *all* unfinished tasks; duplicates
-                # are harmless (first completion wins) and the common case
-                # is a handful of stragglers.
-                for position in sorted(pending):
-                    attempts[position] += 1
-                    if attempts[position] > _MAX_TASK_ATTEMPTS or not submit(position):
-                        yield degrade(position)
-            elif watch.crashes and monotonic() - last_progress >= self._stream_grace_seconds:
-                # Post-crash stall: the retry never surfaced either (e.g. a
-                # poisoned task queue).  Stop waiting on the pool entirely.
-                for position in sorted(pending):
-                    yield degrade(position)
-            if pending and not progressed:
-                sleep(0.005)
 
     # --- engines -----------------------------------------------------------
     def engine(self, pattern: PatternLike, width_bound: Optional[int] = None) -> Engine:
@@ -921,7 +748,7 @@ class Session:
         instances, deduplicating repeated mappings, resolving the method
         once per batch, and — when *processes* (or the session default) asks
         for it — fanning the instances out over a worker pool.  The pool is
-        crash-tolerant: tasks of a killed worker are retried once and then
+        crash-tolerant: cells of a killed worker are retried once and then
         re-run serially in the parent (events are counted on *statistics*
         and on :attr:`statistics`).  ``deadline``/``budget`` bound the whole
         batch, parent and workers alike; a violation raises
@@ -935,49 +762,14 @@ class Session:
         mappings = list(mappings)
         if not mappings:
             return []
-        run_budget = budget_from(deadline, budget)
-        plan = engine.plan(method, width, graph=graph)
-        strategy = plan.strategy_obj
-        unique: List[Mapping] = []
-        seen: Set[Mapping] = set()
-        for mu in mappings:
-            if mu not in seen:
-                seen.add(mu)
-                unique.append(mu)
-
-        processes = processes if processes is not None else self._context.processes
-        try:
-            if run_budget is not None:
-                run_budget.check()  # pre-expired budgets trip up front
-            if (
-                processes is not None
-                and processes > 1
-                and len(unique) > 1
-                and strategy.parallel_safe
-            ):
-                answers = dict(
-                    zip(
-                        unique,
-                        self._parallel_contains(
-                            engine, graph, unique, plan, processes, run_budget, statistics
-                        ),
-                    )
-                )
-            else:
-                context = self._context.with_statistics(statistics).with_budget(
-                    run_budget
-                )
-                answers = dict(
-                    zip(
-                        unique,
-                        strategy.contains_many(
-                            engine.pattern, engine.forest, graph, unique, plan, context
-                        ),
-                    )
-                )
-        except DeadlineExceeded as exc:
-            self._trip(statistics, exc)
-            raise
+        cells, processes = self._membership_cells(engine, graph, mappings, method, width, processes)
+        answers: Dict[Mapping, bool] = {}
+        for _tag, position, items in self._drain(
+            cells, processes, None, budget_from(deadline, budget), statistics
+        ):
+            chunk = cells[position].mappings or ()
+            for offset, verdict in items:
+                answers[chunk[offset]] = verdict
         return [answers[mu] for mu in mappings]
 
     def check_iter(
@@ -1010,187 +802,46 @@ class Session:
         mappings = list(mappings)
         if not mappings:
             return
-        run_budget = budget_from(deadline, budget)
-        plan = engine.plan(method, width, graph=graph)
-        strategy = plan.strategy_obj
-        unique: List[Mapping] = []
-        seen: Set[Mapping] = set()
+        cells, processes = self._membership_cells(engine, graph, mappings, method, width, processes)
+        events = self._drain(cells, processes, 1, budget_from(deadline, budget), statistics)
+        known: Dict[Mapping, bool] = {}
         for mu in mappings:
-            if mu not in seen:
-                seen.add(mu)
-                unique.append(mu)
-        processes = processes if processes is not None else self._context.processes
-        try:
-            if run_budget is not None:
-                run_budget.check()  # pre-expired budgets trip up front
-            if (
-                processes is not None
-                and processes > 1
-                and len(unique) > 1
-                and strategy.parallel_safe
-            ):
-                yield from self._parallel_check_iter(
-                    engine, graph, mappings, unique, plan, processes, run_budget, statistics
-                )
-                return
-            known: Dict[Mapping, bool] = {}
-            for mu in mappings:
-                if mu not in known:
-                    known[mu] = engine.contains(
-                        graph,
-                        mu,
-                        method=method,
-                        width=width,
-                        statistics=statistics,
-                        budget=run_budget,
-                    )
-                yield known[mu]
-        except DeadlineExceeded as exc:
-            self._trip(statistics, exc)
-            raise
+            while mu not in known:
+                _tag, position, items = next(events)
+                chunk = cells[position].mappings or ()
+                for offset, verdict in items:
+                    known[chunk[offset]] = verdict
+            yield known[mu]
+        for _event in events:
+            pass  # close the remaining cells so their deltas are absorbed
 
-    def _parallel_check_iter(
+    def _membership_cells(
         self,
         engine: Engine,
         graph: RDFGraph,
         mappings: Sequence[Mapping],
-        unique: Sequence[Mapping],
-        plan: Plan,
-        processes: int,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[bool]:
-        """Fan distinct mappings out and yield verdicts in input order.
+        method: str,
+        width: Optional[int],
+        processes: Optional[int],
+    ) -> Tuple[List[_Cell], Optional[int]]:
+        """Cut a membership batch into cells; returns ``(cells, pool size)``.
 
-        Tasks are supervised individually (see :meth:`_supervise`), so a
-        crashed worker costs one retry — or, at worst, a serial re-check in
-        the parent — never a hung iterator; the k-th input mapping's verdict
-        is released as soon as its distinct instance is decided.
+        The plan is resolved once per batch.  A serial batch is one cell —
+        one ``contains_many`` pass over the deduplicated mappings; a pooled
+        one is cut into about four chunks per worker.
         """
-        processes = min(processes, len(unique))
-        ctx, warm_engine = self._membership_pool_setup(engine, graph, plan)
-        faults = self._armed_faults(ctx)
-        trees = list(engine.forest)
-        tasks: List[Tuple[int, Mapping]] = list(enumerate(unique))
-        index_of = {mu: position for position, mu in tasks}
-
-        def fallback(position: int):
-            return (
-                engine.contains(
-                    graph,
-                    unique[position],
-                    method=plan.strategy,
-                    width=plan.width,
-                    budget=budget,
-                ),
-                None,
-            )
-
-        with ctx.Pool(
-            processes,
-            initializer=_init_worker,
-            initargs=(
-                engine.forest,
-                engine.width_bound,
-                graph,
-                plan.strategy,
-                plan.width,
-                warm_engine,
-                graph.version,
-                budget,
-                faults,
-            ),
-        ) as pool:
-            supervised = self._supervise(
-                pool, _worker_contains, tasks, fallback, budget, statistics
-            )
-            verdicts: Dict[int, bool] = {}
-            for mu in mappings:
-                wanted = index_of[mu]
-                while wanted not in verdicts:
-                    position, (answer, delta) = next(supervised)
-                    if delta is not None:
-                        self._cache.absorb(delta, [graph], trees)
-                    verdicts[position] = answer
-                yield verdicts[wanted]
-
-    def _membership_pool_setup(
-        self, engine: Engine, graph: RDFGraph, plan: Plan
-    ) -> Tuple[object, Optional[Engine]]:
-        """Warm (or warn) before a membership pool; returns (ctx, warm_engine)."""
-        ctx = multiprocessing.get_context()
-        warm_engine: Optional[Engine] = None
-        start_method = _start_method()
-        if start_method == "fork" and self._context.warm_on_fork:
-            # Build the µ-independent state once in the parent so the workers
-            # fork with warm kernels/indexes instead of rebuilding them.  No
-            # mappings here on purpose: per-mapping witness-subtree lookups
-            # would serialise in the parent (Amdahl); workers do those in
-            # parallel against the copy-on-write shared kernels.
-            plan.strategy_obj.warm(engine.forest, graph, plan, self._cache)
-            warm_engine = engine
-        elif self._context.warm_on_fork:
-            _warn_cold_pool(start_method)
-        return ctx, warm_engine
-
-    def _parallel_contains(
-        self,
-        engine: Engine,
-        graph: RDFGraph,
-        mappings: Sequence[Mapping],
-        plan: Plan,
-        processes: int,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> List[bool]:
-        processes = min(processes, len(mappings))
-        chunksize = max(1, len(mappings) // (processes * 4))
-        chunks = [
-            list(mappings[start : start + chunksize])
-            for start in range(0, len(mappings), chunksize)
+        plan = engine.plan(method, width, graph=graph)
+        unique = tuple(dict.fromkeys(mappings))
+        parallel_safe = plan.strategy_obj.parallel_safe
+        processes = self._pool_size(processes, len(unique)) if parallel_safe else None
+        if processes is None:
+            return [_Cell(engine, graph, plan, unique)], None
+        size = max(1, len(unique) // (processes * 4))
+        cells = [
+            _Cell(engine, graph, plan, unique[start : start + size])
+            for start in range(0, len(unique), size)
         ]
-        ctx, warm_engine = self._membership_pool_setup(engine, graph, plan)
-        faults = self._armed_faults(ctx)
-        trees = list(engine.forest)
-        tasks: List[Tuple[int, List[Mapping]]] = list(enumerate(chunks))
-
-        def fallback(position: int):
-            return (
-                [
-                    engine.contains(
-                        graph, mu, method=plan.strategy, width=plan.width, budget=budget
-                    )
-                    for mu in chunks[position]
-                ],
-                None,
-            )
-
-        collected: Dict[int, List[bool]] = {}
-        with ctx.Pool(
-            processes,
-            initializer=_init_worker,
-            initargs=(
-                engine.forest,
-                engine.width_bound,
-                graph,
-                plan.strategy,
-                plan.width,
-                warm_engine,
-                graph.version,
-                budget,
-                faults,
-            ),
-        ) as pool:
-            for position, (chunk_answers, delta) in self._supervise(
-                pool, _worker_contains_chunk, tasks, fallback, budget, statistics
-            ):
-                if delta is not None:
-                    self._cache.absorb(delta, [graph], trees)
-                collected[position] = chunk_answers
-        answers: List[bool] = []
-        for position in range(len(chunks)):
-            answers.extend(collected[position])
-        return answers
+        return cells, processes
 
     def warm(
         self,
@@ -1233,24 +884,6 @@ class Session:
         """
         return self.engine(pattern).solutions_stream(graph, method, deadline, budget)
 
-    def _cell_solutions(
-        self,
-        engine: Engine,
-        graph: RDFGraph,
-        method: str,
-        budget: Optional[Budget],
-    ) -> Set[Mapping]:
-        """One cell's full answer set, attaching partials on a deadline trip."""
-        partial: Set[Mapping] = set()
-        try:
-            for mu in engine.solutions_stream(graph, method, budget=budget):
-                partial.add(mu)
-        except DeadlineExceeded as exc:
-            if not exc.partial:
-                exc.partial = tuple(partial)
-            raise
-        return partial
-
     def solutions(
         self,
         pattern: PatternLike,
@@ -1266,427 +899,36 @@ class Session:
         attribute carries the solutions found before the trip.
         """
         try:
-            return self._cell_solutions(
-                self.engine(pattern), graph, method, budget_from(deadline, budget)
-            )
+            return self.engine(pattern).solutions(graph, method, deadline, budget)
         except DeadlineExceeded as exc:
             self._trip(None, exc)
             raise
 
-    def _distinct_cells(
-        self, engines: Sequence[Engine], graph_list: Sequence[RDFGraph]
-    ) -> List[Tuple[Engine, RDFGraph, Tuple[int, int]]]:
-        """The distinct ``(engine, graph)`` cells in first-occurrence order."""
-        seen: Set[Tuple[int, int]] = set()
-        order: List[Tuple[Engine, RDFGraph, Tuple[int, int]]] = []
+    def _enumeration_cells(
+        self,
+        patterns: Sequence[PatternLike],
+        graphs: Union[RDFGraph, Sequence[RDFGraph]],
+        method: str,
+    ) -> Tuple[List[_Cell], List[List[int]]]:
+        """The distinct ``(engine, graph)`` cells in first-occurrence order,
+        with one planned enumeration each, and the grid of cell positions
+        (one row per pattern, one column per graph)."""
+        graph_list = [graphs] if isinstance(graphs, RDFGraph) else list(graphs)
+        engines = [self.engine(pattern) for pattern in patterns]
+        cells: List[_Cell] = []
+        index: Dict[Tuple[int, int], int] = {}
+        grid: List[List[int]] = []
         for engine in engines:
+            row: List[int] = []
             for graph in graph_list:
                 key = (id(engine), id(graph))
-                if key not in seen:
-                    seen.add(key)
-                    order.append((engine, graph, key))
-        return order
-
-    def _cached_cell_answers(
-        self, engine: Engine, graph: RDFGraph
-    ) -> Optional[Set[Mapping]]:
-        """The cell's full answer set if the parent cache can replay it.
-
-        A cell replays when every tree of the forest has a recorded complete
-        answer list (``⟦T⟧G``) for the current graph version — recorded by an
-        earlier serial run or absorbed from a worker's
-        :class:`~repro.evaluation.cache.CacheDelta`.  Returns ``None`` when
-        any tree is missing; the recorded lists are answer-identical to a
-        fresh enumeration by construction, so replaying is method-independent.
-        """
-        answers: Set[Mapping] = set()
-        for tree in engine.forest:
-            replay = self._cache.tree_solution_list(tree, graph)
-            if replay is None:
-                return None
-            answers.update(replay)
-        return answers
-
-    def _partition_replayable(
-        self, order: Sequence[Tuple[Engine, RDFGraph, Tuple[int, int]]]
-    ) -> Tuple[
-        List[Tuple[Tuple[int, int], Set[Mapping]]],
-        List[Tuple[Engine, RDFGraph, Tuple[int, int]]],
-    ]:
-        """Split cells into (replayed-from-cache, still-to-compute)."""
-        replayed: List[Tuple[Tuple[int, int], Set[Mapping]]] = []
-        pending: List[Tuple[Engine, RDFGraph, Tuple[int, int]]] = []
-        for engine, graph, key in order:
-            cached = self._cached_cell_answers(engine, graph)
-            if cached is not None:
-                replayed.append((key, cached))
-            else:
-                pending.append((engine, graph, key))
-        return replayed, pending
-
-    def _enum_pool_setup(
-        self,
-        pending: Sequence[Tuple[Engine, RDFGraph, Tuple[int, int]]],
-        method: str,
-    ) -> Tuple[
-        object,
-        Optional["Session"],
-        List[WDPatternForest],
-        List[RDFGraph],
-        List[Tuple[int, int, int]],
-    ]:
-        """Shared pool preamble: dedup ship lists, tasks, warm-or-warn.
-
-        Returns ``(ctx, warm_session, forests, graphs, tasks)`` where tasks
-        are ``(position, forest_slot, graph_slot)`` triples indexing into
-        *pending* and the ship lists.
-        """
-        forests: List[WDPatternForest] = []
-        forest_index: Dict[int, int] = {}
-        graphs: List[RDFGraph] = []
-        graph_index: Dict[int, int] = {}
-        tasks: List[Tuple[int, int, int]] = []
-        for position, (engine, graph, _key) in enumerate(pending):
-            fi = forest_index.get(id(engine.forest))
-            if fi is None:
-                fi = forest_index[id(engine.forest)] = len(forests)
-                forests.append(engine.forest)
-            gi = graph_index.get(id(graph))
-            if gi is None:
-                gi = graph_index[id(graph)] = len(graphs)
-                graphs.append(graph)
-            tasks.append((position, fi, gi))
-        ctx = multiprocessing.get_context()
-        warm_session: Optional["Session"] = None
-        start_method = _start_method()
-        if start_method == "fork" and self._context.warm_on_fork:
-            # Warm the µ-independent state (target indexes, graph domains)
-            # in the parent; forked workers inherit it — together with every
-            # homomorphism list and child test this session has already
-            # memoized — as copy-on-write shared memory.
-            for engine, graph, _key in pending:
-                plan = engine.planner.plan_enumeration(method, graph=graph)
-                plan.strategy_obj.warm(engine.forest, graph, plan, self._cache)
-            warm_session = self
-        elif self._context.warm_on_fork:
-            _warn_cold_pool(start_method)
-        return ctx, warm_session, forests, graphs, tasks
-
-    def _enumerate_distinct(
-        self,
-        order: Sequence[Tuple[Engine, RDFGraph, Tuple[int, int]]],
-        method: str,
-        processes: Optional[int],
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[Tuple[Tuple[int, int], Set[Mapping]]]:
-        """Enumerate every distinct cell, yielding ``(key, answers)`` pairs.
-
-        Serial (``processes`` unset or 1) cells are evaluated lazily in
-        submission order through the session cache.  With a pool, cells the
-        parent cache can already answer completely are **replayed first
-        without touching the pool** (this is what makes a repeated parallel
-        batch cheap); the remaining cells fan out to supervised enumeration
-        workers (crash ladder: retry once, then serial re-run in the
-        parent) and are yielded as they complete.  On the ``fork`` start
-        method the parent first warms the µ-independent state of every
-        pending cell (respecting ``warm_on_fork``) and workers inherit the
-        live session, so they replay memoized searches instead of
-        rebuilding caches from scratch; every worker ships its learned
-        state back as a :class:`~repro.evaluation.cache.CacheDelta` which
-        the parent absorbs before yielding the cell.
-        """
-        processes = processes if processes is not None else self._context.processes
-        if processes is None or processes <= 1 or len(order) <= 1:
-            for engine, graph, key in order:
-                yield key, self._cell_solutions(engine, graph, method, budget)
-            return
-        # Validate the method once in the parent, *before* the replay
-        # short-circuit (a warm session must reject e.g. "pebble" exactly
-        # like a cold one); workers re-resolve per cell so the cost model
-        # can still pick naive vs natural per (pattern, graph).
-        Planner().plan_enumeration(method)
-        replayed, pending = self._partition_replayable(order)
-        yield from replayed
-        if not pending:
-            return
-        ctx, warm_session, forests, graphs, tasks = self._enum_pool_setup(
-            pending, method
-        )
-        workers = min(processes, len(pending))
-        parent_versions = [graph.version for graph in graphs]
-        trees = [tree for forest in forests for tree in forest]
-        faults = self._armed_faults(ctx)
-
-        def fallback(position: int):
-            engine, graph, _key = pending[position]
-            return self._cell_solutions(engine, graph, method, budget), None
-
-        with ctx.Pool(
-            workers,
-            initializer=_init_enum_worker,
-            initargs=(
-                forests,
-                graphs,
-                method,
-                warm_session,
-                parent_versions,
-                None,
-                1,
-                budget,
-                faults,
-            ),
-        ) as pool:
-            for position, (answers, delta) in self._supervise(
-                pool, _enum_worker_cell, tasks, fallback, budget, statistics
-            ):
-                if delta is not None:
-                    self._cache.absorb(delta, graphs, trees)
-                yield pending[position][2], answers
-
-    def _stream_timeout_report(
-        self,
-        budget: Optional[Budget],
-        cells_done: int,
-        outstanding: Set[int],
-        solutions_yielded: int,
-        statistics: Optional[EvaluationStatistics],
-    ) -> TimeoutReport:
-        """The terminal report a deadline-tripped streaming batch yields."""
-        elapsed, allowance = 0.0, None
-        if budget is not None:
-            elapsed = budget.elapsed()
-            if budget.expires_at is not None:
-                allowance = budget.expires_at - budget.started_at
-        return TimeoutReport(
-            elapsed=elapsed,
-            deadline=allowance,
-            cells_done=cells_done,
-            cells_pending=len(outstanding),
-            solutions_yielded=solutions_yielded,
-            statistics=statistics,
-            pending=tuple(f"cell #{position}" for position in sorted(outstanding)),
-        )
-
-    def _stream_distinct(
-        self,
-        order: Sequence[Tuple[Engine, RDFGraph, Tuple[int, int]]],
-        method: str,
-        processes: int,
-        chunk_size: int,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[Tuple[str, Optional[Tuple[int, int]], object]]:
-        """Stream every distinct cell as ``("chunk"|"done", key, mappings)``.
-
-        The true cross-process streaming core of :meth:`solutions_iter`:
-        replayable cells are emitted straight from the parent cache, the
-        rest fan out to a pool whose workers push fixed-size solution
-        chunks over a **bounded** IPC queue (slow consumers backpressure
-        the workers) and finish each cell with a ``done`` message carrying
-        the worker's :class:`~repro.evaluation.cache.CacheDelta`.  A
-        ``chunk`` event carries newly arrived solutions of the cell; the
-        closing ``done`` event carries no payload — every solution has
-        already been emitted through the cell's chunks, and consumers that
-        need a cell's complete list accumulate those.
-
-        **Every submitted cell produces exactly one terminal event.**  The
-        drain is liveness-based (any message or crash observation resets a
-        ``stream_grace_seconds`` clock; there is no fixed overall grace):
-
-        * a worker crash followed by a silent queue degrades every
-          unfinished cell to a serial re-run in the parent, emitting only
-          the solutions that had not already been streamed (so answers are
-          neither lost nor duplicated) and closing each cell with its
-          ``done``;
-        * a tripped *budget* emits one terminal ``("timeout", None,
-          TimeoutReport)`` event and stops;
-        * workers that all returned while cells still lack their terminal
-          event — the silent-loss case — are reported as a clear
-          :class:`~repro.exceptions.EvaluationError` with the shortfall
-          counted in ``cells_lost``, never swallowed.
-        """
-        # Same up-front validation as _enumerate_distinct: a warm session
-        # whose every cell replays must still reject invalid methods.
-        Planner().plan_enumeration(method)
-        replayed, pending = self._partition_replayable(order)
-        for key, answers in replayed:
-            yield ("chunk", key, list(answers))
-            yield ("done", key, [])
-        if not pending:
-            return
-        ctx, warm_session, forests, graphs, tasks = self._enum_pool_setup(
-            pending, method
-        )
-        workers = min(processes, len(pending))
-        parent_versions = [graph.version for graph in graphs]
-        trees = [tree for forest in forests for tree in forest]
-        faults = self._armed_faults(ctx)
-        try:
-            # Bounded: workers block once the parent falls this many chunks
-            # behind, instead of buffering whole cells in the pipe.
-            queue = ctx.Queue(maxsize=max(4, 2 * workers))
-        except (ImportError, OSError) as error:  # pragma: no cover - platform
-            raise EvaluationError(
-                "cross-process streaming needs multiprocessing queues, which "
-                f"are unavailable on this platform ({error}); run "
-                "solutions_iter serially (processes=None) instead"
-            ) from error
-        grace = self._stream_grace_seconds
-        #: Per-position solutions already handed to the consumer — the dedup
-        #: ledger that makes serial degradation emit each answer exactly once.
-        emitted: Dict[int, Set[Mapping]] = {
-            position: set() for position, _fi, _gi in tasks
-        }
-        cells_done = len(replayed)
-        solutions_yielded = 0
-        with ctx.Pool(
-            workers,
-            initializer=_init_enum_worker,
-            initargs=(
-                forests,
-                graphs,
-                method,
-                warm_session,
-                parent_versions,
-                queue,
-                chunk_size,
-                budget,
-                faults,
-            ),
-        ) as pool:
-            results = [
-                pool.apply_async(_enum_stream_worker_cell, (task,)) for task in tasks
-            ]
-            watch = _PoolWatch(pool)
-            outstanding = {position for position, _fi, _gi in tasks}
-            last_event = monotonic()
-            degraded = False
-            while outstanding:
-                if budget is not None and budget.expired():
-                    self._note("deadline_trips", statistics=statistics)
-                    yield (
-                        "timeout",
-                        None,
-                        self._stream_timeout_report(
-                            budget, cells_done, outstanding, solutions_yielded, statistics
-                        ),
-                    )
-                    return
-                fresh = watch.poll()
-                if fresh:
-                    self._note("worker_crashes", fresh, statistics)
-                    last_event = monotonic()  # grace counts from the crash
-                try:
-                    message = queue.get(timeout=0.05)
-                except Empty:
-                    message = None
-                except (OSError, ValueError, EOFError) as error:
-                    raise WorkerCrashError(
-                        f"streaming result queue failed mid-batch: "
-                        f"{type(error).__name__}: {error}"
-                    ) from None
-                if message is None:
-                    quiet = monotonic() - last_event
-                    if watch.crashes and quiet >= grace:
-                        # A worker died and the queue has gone silent: the
-                        # missing terminal events will never arrive (a killed
-                        # worker can even poison the shared task queue and
-                        # wedge the survivors).  Stop reading and degrade.
-                        degraded = True
-                        break
-                    if not watch.crashes and quiet >= grace and all(
-                        result.ready() for result in results
-                    ):
-                        # Every worker returned cleanly, nothing in flight,
-                        # yet cells lack their terminal event: silent loss.
-                        for result in results:
-                            self._harvest(result)  # surface hidden failures
-                        self._note("cells_lost", len(outstanding), statistics)
-                        raise EvaluationError(
-                            f"streaming enumeration lost {len(outstanding)} "
-                            f"cell(s): all workers exited but no terminal "
-                            f"event arrived for position(s) "
-                            f"{sorted(outstanding)} within "
-                            f"{grace:.1f}s of queue silence"
-                        )
-                    continue
-                last_event = monotonic()
-                tag, position = message[0], message[1]
-                if tag == "deadline":
-                    self._note("deadline_trips", statistics=statistics)
-                    yield (
-                        "timeout",
-                        None,
-                        self._stream_timeout_report(
-                            budget, cells_done, outstanding, solutions_yielded, statistics
-                        ),
-                    )
-                    return
-                key = pending[position][2]
-                if tag == "chunk":
-                    fresh_solutions = [
-                        mu for mu in message[2] if mu not in emitted[position]
-                    ]
-                    if fresh_solutions:
-                        emitted[position].update(fresh_solutions)
-                        solutions_yielded += len(fresh_solutions)
-                        yield ("chunk", key, fresh_solutions)
-                elif tag == "done":
-                    if position not in outstanding:
-                        continue  # duplicate terminal (already degraded/served)
-                    tail, delta = message[2], message[3]
-                    if delta is not None:
-                        self._cache.absorb(delta, graphs, trees)
-                    outstanding.discard(position)
-                    cells_done += 1
-                    fresh_solutions = [
-                        mu for mu in tail if mu not in emitted[position]
-                    ]
-                    if fresh_solutions:
-                        emitted[position].update(fresh_solutions)
-                        solutions_yielded += len(fresh_solutions)
-                        yield ("chunk", key, fresh_solutions)
-                    yield ("done", key, [])
-                else:  # "error"
-                    raise EvaluationError(
-                        f"enumeration worker failed: {message[2]}"
-                    )
-            if degraded and outstanding:
-                # Serial degradation: re-run every unfinished cell in the
-                # parent.  The queue is never read again (messages from
-                # surviving workers are deliberately dropped) — the parent's
-                # own enumeration is a superset, and the `emitted` ledger
-                # filters what the consumer already received, so each
-                # solution is delivered exactly once.
-                self._note("cells_degraded_serial", len(outstanding), statistics)
-                for position in sorted(outstanding):
-                    engine, graph, key = pending[position]
-                    try:
-                        answers = self._cell_solutions(engine, graph, method, budget)
-                    except DeadlineExceeded:
-                        self._note("deadline_trips", statistics=statistics)
-                        yield (
-                            "timeout",
-                            None,
-                            self._stream_timeout_report(
-                                budget,
-                                cells_done,
-                                outstanding,
-                                solutions_yielded,
-                                statistics,
-                            ),
-                        )
-                        return
-                    outstanding.discard(position)
-                    cells_done += 1
-                    fresh_solutions = [
-                        mu for mu in answers if mu not in emitted[position]
-                    ]
-                    if fresh_solutions:
-                        solutions_yielded += len(fresh_solutions)
-                        yield ("chunk", key, fresh_solutions)
-                    yield ("done", key, [])
+                if key not in index:
+                    index[key] = len(cells)
+                    plan = engine.planner.plan_enumeration(method, graph=graph)
+                    cells.append(_Cell(engine, graph, plan, None))
+                row.append(index[key])
+            grid.append(row)
+        return cells, grid
 
     def solutions_many(
         self,
@@ -1708,8 +950,8 @@ class Session:
         graphs — are enumerated **once** and fanned back out, all cells
         share the session cache, and *processes* (or the session default)
         enumerates distinct cells in parallel (with warm worker forks and
-        the crash-recovery ladder of :meth:`solutions_iter`).  Answer sets
-        are guaranteed identical to per-pattern :meth:`Engine.solutions
+        the crash-recovery ladder of the cell runner).  Answer sets are
+        guaranteed identical to per-pattern :meth:`Engine.solutions
         <repro.evaluation.engine.Engine.solutions>` calls — including
         across worker crashes, which cost a retry or a serial re-run, never
         an answer.  ``deadline``/``budget`` bound the whole batch and raise
@@ -1717,36 +959,31 @@ class Session:
         counted on *statistics* and on :attr:`statistics`.  For results as
         they complete, use :meth:`solutions_iter`.
         """
-        single = isinstance(graphs, RDFGraph)
-        graph_list: List[RDFGraph] = [graphs] if single else list(graphs)
-        engines = [self.engine(pattern) for pattern in patterns]
-        run_budget = budget_from(deadline, budget)
-        order = self._distinct_cells(engines, graph_list)
-        try:
-            distinct: Dict[Tuple[int, int], Set[Mapping]] = dict(
-                self._enumerate_distinct(order, method, processes, run_budget, statistics)
-            )
-        except DeadlineExceeded as exc:
-            self._trip(statistics, exc)
-            raise
+        cells, grid = self._enumeration_cells(patterns, graphs, method)
+        answers: List[Set[Mapping]] = [set() for _ in cells]
+        for _tag, position, items in self._drain(
+            cells,
+            self._pool_size(processes, len(cells)),
+            None,
+            budget_from(deadline, budget),
+            statistics,
+        ):
+            answers[position].update(items)
 
         # Duplicate cells fan out as *independent copies*, exactly like the
         # equivalent loop of per-pattern Engine.solutions calls; a cell used
         # once hands out the computed set itself (no copy).
-        uses = {key: 0 for key in distinct}
-        for engine in engines:
-            for graph in graph_list:
-                uses[(id(engine), id(graph))] += 1
+        uses = [0] * len(cells)
+        for row in grid:
+            for position in row:
+                uses[position] += 1
 
-        def hand_out(key: Tuple[int, int]) -> Set[Mapping]:
-            uses[key] -= 1
-            answers = distinct[key]
-            return set(answers) if uses[key] > 0 else answers
+        def hand_out(position: int) -> Set[Mapping]:
+            uses[position] -= 1
+            return set(answers[position]) if uses[position] else answers[position]
 
-        matrix = [
-            [hand_out((id(engine), id(graph))) for graph in graph_list] for engine in engines
-        ]
-        if single:
+        matrix = [[hand_out(position) for position in row] for row in grid]
+        if isinstance(graphs, RDFGraph):
             return [row[0] for row in matrix]
         return matrix
 
@@ -1773,16 +1010,17 @@ class Session:
 
         ``order="submitted"`` (the default) yields cells in input order —
         row by row, every solution of a cell before the next cell.  The
-        cell at the front streams truly incrementally: serially its first
-        occurrence is consumed lazily from :meth:`solutions_stream`; with a
-        pool its solutions arrive in fixed-size chunks (*chunk_size*, the
-        session's ``stream_chunk_size`` by default) over a bounded IPC
-        queue **while the worker is still enumerating the cell**.
-        ``order="completed"`` relaxes cell ordering entirely: chunks are
-        yielded in arrival order, interleaving cells, which keeps the
-        consumer busy while slow cells are still running (duplicate
-        positions of a cell are emitted together per chunk, in submission
-        order).  Parallel runs use the same warm-fork worker path and
+        cell at the front streams truly incrementally: serially its
+        solutions are consumed lazily from the cell's enumeration; with a
+        pool they arrive in fixed-size chunks (*chunk_size* solutions per
+        message, 16 by default) over a bounded IPC queue **while the worker
+        is still enumerating the cell**.  Repeated cells replay the
+        solutions of their first occurrence.  ``order="completed"`` relaxes
+        cell ordering entirely: chunks are yielded in arrival order,
+        interleaving cells, which keeps the consumer busy while slow cells
+        are still running (duplicate positions of a cell are emitted
+        together per chunk, in submission order).  Parallel runs use the
+        same warm-fork worker path and
         :class:`~repro.evaluation.cache.CacheDelta` return channel as
         :meth:`solutions_many`, so repeated batches replay from the parent
         cache — and the same crash-recovery ladder, so a killed worker
@@ -1801,125 +1039,342 @@ class Session:
             )
         if chunk_size is not None and chunk_size < 1:
             raise EvaluationError("chunk_size must be a positive integer")
-        single = isinstance(graphs, RDFGraph)
-        graph_list: List[RDFGraph] = [graphs] if single else list(graphs)
-        engines = [self.engine(pattern) for pattern in patterns]
-        run_budget = budget_from(deadline, budget)
-        cells: List[Tuple[Tuple[int, int], Tuple[int, int]]] = [
-            ((i, j), (id(engine), id(graph)))
-            for i, engine in enumerate(engines)
-            for j, graph in enumerate(graph_list)
+        cells, grid = self._enumeration_cells(patterns, graphs, method)
+        order_of = [
+            ((i, j), position) for i, row in enumerate(grid) for j, position in enumerate(row)
         ]
-        uses: Dict[Tuple[int, int], int] = {}
-        for _cell, key in cells:
-            uses[key] = uses.get(key, 0) + 1
-        distinct = self._distinct_cells(engines, graph_list)
-
-        processes = processes if processes is not None else self._context.processes
-        serial = processes is None or processes <= 1 or len(distinct) <= 1
-        if serial:
-            # True per-solution streaming: the first occurrence of each cell
-            # is consumed lazily; repeats replay the recorded answers.
-            by_key = {key: (engine, graph) for engine, graph, key in distinct}
-            done: Dict[Tuple[int, int], Set[Mapping]] = {}
-            cells_done = 0
-            solutions_yielded = 0
-            try:
-                for cell, key in cells:
-                    if key in done:
-                        for mu in done[key]:
-                            yield cell, mu
-                            solutions_yielded += 1
-                        cells_done += 1
-                        continue
-                    engine, graph = by_key[key]
-                    recorder: Optional[Set[Mapping]] = set() if uses[key] > 1 else None
-                    for mu in engine.solutions_stream(graph, method, budget=run_budget):
-                        if recorder is not None:
-                            recorder.add(mu)
-                        yield cell, mu
-                        solutions_yielded += 1
-                    if recorder is not None:
-                        done[key] = recorder
-                    cells_done += 1
-            except DeadlineExceeded:
-                self._note("deadline_trips", statistics=statistics)
-                elapsed, allowance = 0.0, None
-                if run_budget is not None:
-                    elapsed = run_budget.elapsed()
-                    if run_budget.expires_at is not None:
-                        allowance = run_budget.expires_at - run_budget.started_at
-                yield TimeoutReport(
-                    elapsed=elapsed,
-                    deadline=allowance,
-                    cells_done=cells_done,
-                    cells_pending=len(cells) - cells_done,
-                    solutions_yielded=solutions_yielded,
-                    statistics=statistics,
-                    pending=tuple(
-                        f"cell {cell}" for cell, _key in cells[cells_done:]
-                    ),
-                )
-            return
-
-        chunk = (
-            chunk_size
-            if chunk_size is not None
-            else self._context.stream_chunk_size
-        )
-        events = self._stream_distinct(
-            distinct, method, processes, chunk, run_budget, statistics
+        events = self._drain(
+            cells,
+            self._pool_size(processes, len(cells)),
+            chunk_size if chunk_size is not None else _STREAM_CHUNK_SIZE,
+            budget_from(deadline, budget),
+            statistics,
+            report_timeouts=True,
         )
 
         if order == "completed":
-            positions: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-            for cell, key in cells:
-                positions.setdefault(key, []).append(cell)
-            for tag, key, payload in events:
+            positions: Dict[int, List[Tuple[int, int]]] = {}
+            for cell, position in order_of:
+                positions.setdefault(position, []).append(cell)
+            for tag, position, items in events:
                 if tag == "timeout":
-                    yield payload  # the terminal TimeoutReport
+                    yield items[0]  # the terminal TimeoutReport
                     return
-                if tag != "chunk":
-                    continue  # "done" closes a cell; its chunks are yielded
-                for cell in positions[key]:
-                    for mu in payload:
+                for cell in positions[position]:
+                    for mu in items:
                         yield cell, mu
             return
 
-        # order == "submitted": stream the front cell's chunks as they
-        # arrive; buffer chunks of later cells until their turn.  A cell's
-        # complete list is the concatenation of its chunk events (the
-        # closing "done" carries no payload).
-        finished: Dict[Tuple[int, int], List[Mapping]] = {}
-        buffers: Dict[Tuple[int, int], List[Mapping]] = {}
-        for cell, key in cells:
-            if key in finished:
-                for mu in finished[key]:
-                    yield cell, mu
-                continue
-            # Flush whatever arrived for this cell while an earlier cell
-            # held the front — don't wait for its next event to release it.
-            emitted = 0
-            for mu in buffers.get(key, ()):
+        # order == "submitted": stream the front cell's items as they
+        # arrive; keep items of later cells until their turn, and a cell's
+        # items while a later position still repeats it.
+        received: Dict[int, List[Mapping]] = {}
+        finished: Set[int] = set()
+        uses: Dict[int, int] = {}
+        for _cell, position in order_of:
+            uses[position] = uses.get(position, 0) + 1
+        for cell, position in order_of:
+            uses[position] -= 1
+            keep = uses[position] > 0
+            backlog = received.get(position, []) if keep else received.pop(position, [])
+            for mu in backlog:
                 yield cell, mu
-                emitted += 1
-            while key not in finished:
-                tag, event_key, payload = next(events)
+            while position not in finished:
+                tag, event_position, items = next(events)
                 if tag == "timeout":
-                    yield payload  # the terminal TimeoutReport
+                    yield items[0]  # the terminal TimeoutReport
                     return
-                if tag == "chunk":
-                    buffers.setdefault(event_key, []).extend(payload)
-                    if event_key == key:
-                        buffered = buffers[key]
-                        while emitted < len(buffered):
-                            yield cell, buffered[emitted]
-                            emitted += 1
-                else:
-                    finished[event_key] = buffers.pop(event_key, [])
-            for mu in finished[key][emitted:]:
-                yield cell, mu
+                if tag == "done":
+                    finished.add(event_position)
+                if event_position != position or keep:
+                    received.setdefault(event_position, []).extend(items)
+                if event_position == position:
+                    for mu in items:
+                        yield cell, mu
         # Drain cells that finished after the last position needing them so
         # their workers' deltas are still absorbed into the session cache.
-        for _tag, _key, _payload in events:
+        for _event in events:
             pass
+
+    # --- the cell runner ----------------------------------------------------
+    def _pool_size(self, processes: Optional[int], cells: int) -> Optional[int]:
+        """The pool size for *cells* cells, or ``None`` to run serially."""
+        processes = processes if processes is not None else self._processes
+        if processes is None or processes <= 1 or cells <= 1:
+            return None
+        return processes
+
+    def _cached_cell_answers(
+        self, engine: Engine, graph: RDFGraph
+    ) -> Optional[Set[Mapping]]:
+        """The cell's full answer set if the parent cache can replay it.
+
+        A cell replays when every tree of the forest has a recorded complete
+        answer list (``⟦T⟧G``) for the current graph version — recorded by an
+        earlier serial run or absorbed from a worker's
+        :class:`~repro.evaluation.cache.CacheDelta`.  Returns ``None`` when
+        any tree is missing; the recorded lists are answer-identical to a
+        fresh enumeration by construction, so replaying is method-independent.
+        """
+        answers: Set[Mapping] = set()
+        for tree in engine.forest:
+            replay = self._cache.tree_solution_list(tree, graph)
+            if replay is None:
+                return None
+            answers.update(replay)
+        return answers
+
+    def _warm_or_warn(self, cells: Sequence[_Cell], pending: Sequence[int]) -> Optional["Session"]:
+        """Warm the parent before forking a pool; returns the session the
+        workers inherit by address (``None``: they start cold)."""
+        if not self._warm_on_fork:
+            return None
+        start_method = _start_method()
+        if start_method != "fork":
+            _warn_cold_pool(start_method)
+            return None
+        # Build the µ-independent state (target indexes, kernels) once in the
+        # parent so the workers fork with it — and with everything this
+        # session already memoized — in copy-on-write memory.  No mappings
+        # on purpose: per-mapping witness-subtree lookups would serialise in
+        # the parent (Amdahl); workers do those in parallel against the
+        # shared kernels.
+        distinct = {(id(cells[p].engine), id(cells[p].graph)): cells[p] for p in pending}
+        for cell in distinct.values():
+            cell.plan.strategy_obj.warm(cell.engine.forest, cell.graph, cell.plan, self._cache)
+        return self
+
+    @staticmethod
+    def _ship(
+        cells: Sequence[_Cell], pending: Sequence[int]
+    ) -> Tuple[List[WDPatternForest], List[RDFGraph], Dict[int, _Task]]:
+        """The forests and graphs a pool needs (each once) and one task per
+        pending cell, indexing into them."""
+        forests: List[WDPatternForest] = []
+        graphs: List[RDFGraph] = []
+        engine_slots: Dict[int, int] = {}
+        graph_slots: Dict[int, int] = {}
+        tasks: Dict[int, _Task] = {}
+        for position in pending:
+            cell = cells[position]
+            if id(cell.engine) not in engine_slots:
+                engine_slots[id(cell.engine)] = len(forests)
+                forests.append(cell.engine.forest)
+            if id(cell.graph) not in graph_slots:
+                graph_slots[id(cell.graph)] = len(graphs)
+                graphs.append(cell.graph)
+            tasks[position] = (
+                position,
+                engine_slots[id(cell.engine)],
+                graph_slots[id(cell.graph)],
+                cell.plan,
+                cell.mappings,
+            )
+        return forests, graphs, tasks
+
+    def _drain(
+        self,
+        cells: Sequence[_Cell],
+        processes: Optional[int],
+        chunk_size: Optional[int],
+        budget: Optional[Budget],
+        statistics: Optional[EvaluationStatistics],
+        report_timeouts: bool = False,
+    ) -> Iterator[_Event]:
+        """Run every cell and yield its items as :data:`_Event` triples.
+
+        With *chunk_size* ``None`` (blocking consumers) each cell's items
+        arrive in its one ``done`` event; otherwise items stream as
+        ``chunk`` events (one per item in-process, *chunk_size* per message
+        from a worker) and ``done`` closes the cell.  Serial runs
+        (*processes* ``None``) run the cell function in-process, cell by
+        cell.  A pool run first replays every enumeration cell the parent
+        cache can answer completely, then fans the rest out to workers.
+        **Every cell produces exactly one** ``done`` **event.**  The drain
+        is liveness-based (any message or crash observation resets a
+        ``stream_grace_seconds`` clock; there is no fixed overall grace):
+
+        1. healthy pool — messages are absorbed as they arrive (worker
+           deltas merge into the session cache before the cell closes);
+        2. after a crash, every unfinished cell is resubmitted once on the
+           surviving/respawned workers (the first ``done`` wins);
+        3. a cell whose retry is also lost — or every unfinished cell once
+           post-crash silence outlasts the grace (a killed worker can die
+           holding the shared task-queue lock and wedge the survivors) —
+           is re-run serially in the parent.
+
+        The emitted-item ledger filters what a retried or degraded cell
+        re-produces, so each item is delivered exactly once.  Workers that
+        all returned while cells still lack their terminal event — the
+        silent-loss case — raise an :class:`EvaluationError` with the
+        shortfall counted in ``cells_lost``, never swallowed.  A tripped
+        *budget* is accounted once and re-raised as
+        :class:`DeadlineExceeded`, or, with *report_timeouts*, ends the
+        stream with one ``("timeout", -1, [TimeoutReport])`` event.
+        """
+        outstanding = set(range(len(cells)))
+        #: Items of a cell already handed out from its pool chunks — the
+        #: ledger that makes retries and degradation emit each item once.
+        emitted: Dict[int, Set[Any]] = {}
+        yielded = 0
+
+        def event(tag: str, position: int, items: List[Any]) -> _Event:
+            nonlocal yielded
+            seen = emitted.get(position)
+            if seen:
+                items = [item for item in items if item not in seen]
+            if tag == "done":
+                outstanding.discard(position)
+            yielded += len(items)
+            return tag, position, items
+
+        context = self._context.with_statistics(statistics).with_budget(budget)
+
+        def in_process(position: int) -> Iterator[_Event]:
+            cell = cells[position]
+            items = _cell_items(cell.engine, cell.graph, cell.plan, cell.mappings, context)
+            if chunk_size is None:
+                yield event("done", position, list(items))
+                return
+            for item in items:
+                yield event("chunk", position, [item])
+            yield event("done", position, [])
+
+        try:
+            if budget is not None:
+                budget.check()  # pre-expired budgets trip up front
+            if processes is None:
+                for position in range(len(cells)):
+                    yield from in_process(position)
+                return
+            for position, cell in enumerate(cells):
+                if cell.mappings is None:
+                    cached = self._cached_cell_answers(cell.engine, cell.graph)
+                    if cached is not None:
+                        yield event("done", position, list(cached))
+            pending = sorted(outstanding)
+            if not pending:
+                return
+            ctx = multiprocessing.get_context()
+            warm_session = self._warm_or_warn(cells, pending)
+            forests, graphs, tasks = self._ship(cells, pending)
+            trees = [tree for forest in forests for tree in forest]
+            workers = min(processes, len(pending))
+            faults = self._faults.arm(ctx) if self._faults is not None else None
+            # Bounded: workers block once the parent falls this many messages
+            # behind, instead of buffering whole cells in the pipe.
+            queue = ctx.Queue(maxsize=max(4, 2 * workers))
+            grace = self._stream_grace_seconds
+            initargs = (
+                warm_session,
+                forests,
+                graphs,
+                [graph.version for graph in graphs],
+                queue,
+                chunk_size,
+                budget,
+                faults,
+            )
+            with ctx.Pool(workers, initializer=_init_worker, initargs=initargs) as pool:
+                watch = _PoolWatch(pool)
+                results: List[Any] = []
+                attempts = dict.fromkeys(pending, 0)
+
+                def submit(position: int) -> bool:
+                    attempts[position] += 1
+                    if attempts[position] > _MAX_TASK_ATTEMPTS:
+                        return False
+                    try:
+                        results.append(pool.apply_async(_worker_run_cell, (tasks[position],)))
+                        return True
+                    except Exception:  # pool already broken/closed: degrade
+                        return False
+
+                def degrade(position: int) -> Iterator[_Event]:
+                    self._note("cells_degraded_serial", statistics=statistics)
+                    yield from in_process(position)
+
+                for position in pending:
+                    if not submit(position):
+                        yield from degrade(position)
+                last_event = monotonic()
+                while outstanding:
+                    if budget is not None:
+                        budget.check()  # raises DeadlineExceeded; the pool exits with us
+                    crashed = watch.poll()
+                    if crashed:
+                        self._note("worker_crashes", crashed, statistics)
+                        sleep(_CRASH_BACKOFF_SECONDS)
+                        last_event = monotonic()  # grace counts from the crash
+                        # The dying worker's cell is unknowable from the
+                        # outside, so every unfinished cell is resubmitted;
+                        # duplicates are harmless (the ledger drops repeated
+                        # items and the first done wins).
+                        for position in sorted(outstanding):
+                            if not submit(position):
+                                yield from degrade(position)
+                        continue
+                    try:
+                        message = queue.get(timeout=_POLL_SECONDS)
+                    except Empty:
+                        if monotonic() - last_event < grace:
+                            continue
+                        if watch.crashes:
+                            # A worker died and the queue has gone silent: the
+                            # missing terminal events will never arrive (a
+                            # killed worker can even poison the shared task
+                            # queue and wedge the survivors).  Degrade.
+                            for position in sorted(outstanding):
+                                yield from degrade(position)
+                        elif all(result.ready() for result in results):
+                            # Every worker returned cleanly, nothing in
+                            # flight, yet cells lack their terminal event.
+                            for result in results:
+                                self._harvest(result)  # surface hidden failures
+                            self._note("cells_lost", len(outstanding), statistics)
+                            raise EvaluationError(
+                                f"pooled evaluation lost {len(outstanding)} cell(s): "
+                                f"all workers exited but no terminal event arrived "
+                                f"for position(s) {sorted(outstanding)} within "
+                                f"{grace:.1f}s of queue silence"
+                            )
+                        continue
+                    except (OSError, ValueError, EOFError) as error:
+                        raise WorkerCrashError(
+                            f"result queue failed mid-batch: {type(error).__name__}: {error}"
+                        ) from None
+                    last_event = monotonic()
+                    tag, position, payload, delta = message
+                    if tag == "deadline":
+                        raise DeadlineExceeded(payload, budget=budget)
+                    if tag == "error":
+                        raise EvaluationError(f"evaluation worker failed: {payload}")
+                    if position not in outstanding:
+                        continue  # a late duplicate of a closed cell
+                    if delta is not None:
+                        self._cache.absorb(delta, graphs, trees)
+                    if tag == "chunk":
+                        chunk = event("chunk", position, payload)
+                        emitted.setdefault(position, set()).update(chunk[2])
+                        yield chunk
+                    else:
+                        yield event("done", position, payload)
+        except DeadlineExceeded as exc:
+            self._trip(statistics, exc)
+            if not report_timeouts:
+                raise
+            elapsed, allowance = 0.0, None
+            if budget is not None:
+                elapsed = budget.elapsed()
+                if budget.expires_at is not None:
+                    allowance = budget.expires_at - budget.started_at
+            report = TimeoutReport(
+                elapsed=elapsed,
+                deadline=allowance,
+                cells_done=len(cells) - len(outstanding),
+                cells_pending=len(outstanding),
+                solutions_yielded=yielded,
+                statistics=statistics,
+                pending=tuple(f"cell #{position}" for position in sorted(outstanding)),
+            )
+            yield "timeout", -1, [report]

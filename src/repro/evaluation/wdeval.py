@@ -15,18 +15,18 @@ The child test is a full homomorphism test, so this engine runs in
 exponential time in the query size in the worst case — it is the coNP
 baseline that the Theorem 1 algorithm relaxes.
 
-The canonical implementations (the ``*_ctx`` functions) take an
-:class:`~repro.evaluation.context.EvalContext` bundling the cache and the
-statistics accumulator; the historical ``(statistics, cache)`` signatures
-are kept as thin shims.  The module also provides solution *enumeration*
-through Lemma 1 — both as sets and as deduplicated generators
-(:func:`tree_solutions_stream` / :func:`forest_solutions_stream`), which is
-what :meth:`~repro.evaluation.session.Session.solutions_stream` exposes.
+Every algorithm takes an optional
+:class:`~repro.evaluation.context.EvalContext` as its last argument,
+bundling the cache, the statistics accumulator and the budget.  The module
+also provides solution *enumeration* through Lemma 1 — both as sets and as
+deduplicated generators (:func:`tree_solutions_stream` /
+:func:`forest_solutions_stream`), which is what
+:meth:`~repro.evaluation.session.Session.solutions_stream` exposes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Set
+from typing import Iterator, Optional, Set
 
 from .context import EvalContext
 from ..patterns.forest import WDPatternForest
@@ -34,15 +34,10 @@ from ..patterns.tree import Subtree, WDPatternTree
 from ..rdf.graph import RDFGraph
 from ..sparql.mappings import Mapping
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .cache import EvaluationCache
-
 __all__ = [
     "find_mu_subtree",
     "tree_contains",
-    "tree_contains_ctx",
     "forest_contains",
-    "forest_contains_ctx",
     "tree_solutions",
     "tree_solutions_stream",
     "forest_solutions",
@@ -50,7 +45,7 @@ __all__ = [
     "EvaluationStatistics",
 ]
 
-#: Shared empty context for the shim signatures with neither cache nor stats.
+#: Shared empty context for calls with neither cache, statistics nor budget.
 _PLAIN_CONTEXT = EvalContext()
 
 
@@ -156,19 +151,24 @@ def find_mu_subtree(tree: WDPatternTree, graph: RDFGraph, mu: Mapping) -> Option
     return subtree
 
 
-# --- membership (canonical, context-based) --------------------------------------
+# --- membership -------------------------------------------------------------------
 
 
-def tree_contains_ctx(
-    tree: WDPatternTree, graph: RDFGraph, mu: Mapping, context: EvalContext
+def tree_contains(
+    tree: WDPatternTree,
+    graph: RDFGraph,
+    mu: Mapping,
+    context: Optional[EvalContext] = None,
 ) -> bool:
     """``µ ∈ ⟦T⟧G`` via Lemma 1 (the natural algorithm, exact but with
     NP-hard child tests).
 
-    The *context* supplies the cache (witness-subtree lookups and child
+    A *context* supplies the cache (witness-subtree lookups and child
     extension tests are then memoized per graph version — identical answers,
-    see :mod:`repro.evaluation.cache`) and the statistics accumulator.
+    see :mod:`repro.evaluation.cache`), the statistics accumulator and the
+    budget.
     """
+    context = context if context is not None else _PLAIN_CONTEXT
     subtree = context.mu_subtree(tree, graph, mu)
     if subtree is None:
         return False
@@ -180,40 +180,19 @@ def tree_contains_ctx(
     return True
 
 
-def forest_contains_ctx(
-    forest: WDPatternForest, graph: RDFGraph, mu: Mapping, context: EvalContext
-) -> bool:
-    """``µ ∈ ⟦F⟧G = ⟦T1⟧G ∪ ... ∪ ⟦Tm⟧G`` via the natural algorithm."""
-    for tree in forest:
-        context.note_tree_visited()
-        if tree_contains_ctx(tree, graph, mu, context):
-            return True
-    return False
-
-
-# --- membership (legacy signatures, thin shims) ------------------------------------
-
-
-def tree_contains(
-    tree: WDPatternTree,
-    graph: RDFGraph,
-    mu: Mapping,
-    statistics: Optional[EvaluationStatistics] = None,
-    cache: Optional["EvaluationCache"] = None,
-) -> bool:
-    """Shim for :func:`tree_contains_ctx` with the historical signature."""
-    return tree_contains_ctx(tree, graph, mu, EvalContext.of(statistics, cache))
-
-
 def forest_contains(
     forest: WDPatternForest,
     graph: RDFGraph,
     mu: Mapping,
-    statistics: Optional[EvaluationStatistics] = None,
-    cache: Optional["EvaluationCache"] = None,
+    context: Optional[EvalContext] = None,
 ) -> bool:
-    """Shim for :func:`forest_contains_ctx` with the historical signature."""
-    return forest_contains_ctx(forest, graph, mu, EvalContext.of(statistics, cache))
+    """``µ ∈ ⟦F⟧G = ⟦T1⟧G ∪ ... ∪ ⟦Tm⟧G`` via the natural algorithm."""
+    context = context if context is not None else _PLAIN_CONTEXT
+    for tree in forest:
+        context.note_tree_visited()
+        if tree_contains(tree, graph, mu, context):
+            return True
+    return False
 
 
 # --- enumeration ---------------------------------------------------------------------

@@ -41,6 +41,7 @@ response, including during shutdown (drained requests answer with
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -177,11 +178,16 @@ class PendingResponse:
 
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample (0.0 if empty)."""
+    """Nearest-rank percentile of an already-sorted sample (0.0 if empty).
+
+    The 1-based rank is ``ceil(fraction * n)``, so p99 of 100 samples is the
+    99th smallest, not the maximum.
+    """
     if not sorted_values:
         return 0.0
-    rank = min(len(sorted_values) - 1, max(0, int(fraction * len(sorted_values))))
-    return sorted_values[rank]
+    # round() first: 0.07 * 100 is 7.000000000000001, whose ceiling is 8.
+    rank = math.ceil(round(fraction * len(sorted_values), 9))
+    return sorted_values[min(len(sorted_values), max(1, rank)) - 1]
 
 
 class ServiceStats:

@@ -1020,6 +1020,25 @@ def test_live_tree_is_clean(capsys):
     assert lint_main(["--root", str(root)]) == 0, capsys.readouterr().out
 
 
+def test_pool_rules_inspect_the_live_session_workers():
+    """RP-PICKLE and RP-FORKSTATE find the pool workers by name; prove both
+    still inspect the live cell runner, so a rename cannot quietly leave
+    them with nothing to check."""
+    from pathlib import Path
+
+    path = "src/repro/evaluation/session.py"
+    source = (Path(__file__).resolve().parent.parent / path).read_text()
+    # A hookless stand-in for a payload class the worker signatures name.
+    stub = {"src/repro/patterns/forest.py": "class WDPatternForest:\n    pass\n"}
+    pickled = Project.from_sources({path: source, **stub})
+    assert any(
+        f.path == path and "WDPatternForest" in f.message
+        for f in rule_findings(PoolPayloadRule(), pickled)
+    )
+    unguarded = Project.from_sources({path: source.replace("# fork-safe:", "#")})
+    assert any(f.path == path for f in rule_findings(ForkStateRule(), unguarded))
+
+
 def test_registry_ids_are_unique_and_prefixed():
     registry = rule_registry()
     assert len(registry) >= 13

@@ -1,19 +1,13 @@
-"""Unit tests for the batch evaluation service layer."""
+"""Batched membership through :class:`Session`: many mappings per pattern
+(``check_many``) and many patterns over one graph, behind one shared cache."""
 
 import pickle
 
 import pytest
 
-from repro.evaluation import (
-    BatchEngine,
-    Engine,
-    EvaluationCache,
-    EvaluationStatistics,
-    contains_many_patterns,
-    contains_matrix,
-)
+from repro.evaluation import Engine, EvaluationCache, EvaluationStatistics, Session
 from repro.exceptions import EvaluationError
-from repro.rdf import RDFGraph, Triple
+from repro.rdf import RDFGraph
 from repro.rdf.namespace import EX
 from repro.rdf.terms import IRI, Variable
 from repro.sparql import Mapping, parse_pattern
@@ -41,80 +35,77 @@ class TestContainsMany:
     def test_identical_to_single_shot(self, setting, method):
         forest, graph, engine, queries = setting
         expected = [engine.contains(graph, mu, method=method) for mu in queries]
-        batch = BatchEngine(forest=forest, width_bound=1)
-        assert batch.contains_many(graph, queries, method=method) == expected
+        session = Session()
+        handle = session.engine(forest, width_bound=1)
+        assert session.check_many(handle, graph, queries, method=method) == expected
 
     def test_preserves_order_and_duplicates(self, setting):
         forest, graph, engine, queries = setting
         doubled = queries + list(reversed(queries))
-        batch = BatchEngine(forest=forest, width_bound=1)
-        answers = batch.contains_many(graph, doubled)
+        session = Session()
+        answers = session.check_many(session.engine(forest, width_bound=1), graph, doubled)
         assert answers == [engine.contains(graph, mu) for mu in doubled]
         assert answers[: len(queries)] == list(reversed(answers[len(queries) :]))
 
     def test_empty_input(self, setting):
         forest, graph, _, _ = setting
-        assert BatchEngine(forest=forest).contains_many(graph, []) == []
+        assert Session().check_many(forest, graph, []) == []
 
     def test_parallel_identical(self, setting):
         forest, graph, engine, queries = setting
         expected = [engine.contains(graph, mu, method="pebble") for mu in queries]
-        batch = BatchEngine(forest=forest, width_bound=1, processes=2)
-        assert batch.contains_many(graph, queries, method="pebble") == expected
+        session = Session(processes=2)
+        handle = session.engine(forest, width_bound=1)
+        assert session.check_many(handle, graph, queries, method="pebble") == expected
         # per-call override too
-        batch2 = BatchEngine(forest=forest, width_bound=1)
-        assert batch2.contains_many(graph, queries, method="pebble", processes=2) == expected
+        session2 = Session()
+        handle2 = session2.engine(forest, width_bound=1)
+        assert (
+            session2.check_many(handle2, graph, queries, method="pebble", processes=2)
+            == expected
+        )
 
     def test_statistics_accumulated_serially(self, setting):
         forest, graph, _, queries = setting
         statistics = EvaluationStatistics()
-        BatchEngine(forest=forest, width_bound=1).contains_many(
-            graph, queries, method="natural", statistics=statistics
+        session = Session()
+        session.check_many(
+            session.engine(forest, width_bound=1),
+            graph,
+            queries,
+            method="natural",
+            statistics=statistics,
         )
         assert statistics.trees_visited > 0
 
     def test_auto_resolved_once(self, setting):
         forest, graph, engine, queries = setting
-        batch = BatchEngine(forest=forest, width_bound=1)
+        session = Session()
+        handle = session.engine(forest, width_bound=1)
         expected = [engine.contains(graph, mu, method="auto") for mu in queries]
-        assert batch.contains_many(graph, queries, method="auto") == expected
+        assert session.check_many(handle, graph, queries, method="auto") == expected
 
     def test_naive_batched_materialises_once(self, setting):
         forest, graph, engine, queries = setting
-        batch = BatchEngine(forest=forest, width_bound=1)
+        session = Session()
+        handle = session.engine(forest, width_bound=1)
         expected = [engine.contains(graph, mu, method="naive") for mu in queries]
-        assert batch.contains_many(graph, queries, method="naive") == expected
+        assert session.check_many(handle, graph, queries, method="naive") == expected
 
 
 class TestConstruction:
     def test_requires_pattern_or_forest(self):
         with pytest.raises(EvaluationError):
-            BatchEngine()
+            Session().check_many(None, RDFGraph(), [Mapping.EMPTY])
 
     def test_invalid_processes(self):
         with pytest.raises(EvaluationError):
-            BatchEngine(parse_pattern("(?x p ?y)"), processes=0)
+            Session(processes=0)
 
     def test_creates_cache_by_default(self):
-        batch = BatchEngine(parse_pattern("(?x p ?y)"))
-        assert isinstance(batch.cache, EvaluationCache)
-        assert batch.engine.cache is batch.cache
-
-    def test_from_engine_shares_cache(self):
-        cache = EvaluationCache()
-        engine = Engine(parse_pattern("(?x p ?y)"), cache=cache)
-        batch = BatchEngine.from_engine(engine)
-        assert batch.cache is cache
-
-    def test_passthroughs(self):
-        graph = RDFGraph([Triple.of("a", "knows", "b")])
-        batch = BatchEngine(parse_pattern("((?x knows ?y) OPT (?y email ?e))"))
-        mu = Mapping.of(x="a", y="b")
-        assert batch.contains(graph, mu) is True
-        assert len(batch.solutions(graph)) == 1
-        assert batch.pattern is not None
-        assert len(batch.forest) == 1
-        assert "BatchEngine" in repr(batch)
+        session = Session()
+        assert isinstance(session.cache, EvaluationCache)
+        assert session.engine(parse_pattern("(?x p ?y)")).cache is session.cache
 
 
 class TestResolveMethod:
@@ -152,7 +143,8 @@ class TestManyPatterns:
         if not solutions:
             pytest.skip("random data graph produced no solutions")
         mu = solutions[0]
-        answers = contains_many_patterns(patterns, graph, mu, method="natural")
+        session = Session()
+        answers = [session.check(pattern, graph, mu, method="natural") for pattern in patterns]
         expected = [
             Engine(forest=patterns[0]).contains(graph, mu, method="natural"),
             Engine(forest=patterns[1]).contains(graph, mu, method="natural"),
@@ -165,7 +157,11 @@ class TestManyPatterns:
         graph = tprime_data_graph(8, 30, seed=4)
         mus = sorted(Engine(forest=forest2).solutions(graph, method="natural"), key=repr)[:3]
         mus.append(Mapping({Variable("y"): EX.term("nowhere")}))
-        matrix = contains_matrix([forest2, forest3], graph, mus, method="natural")
+        session = Session()
+        matrix = [
+            session.check_many(forest, graph, mus, method="natural")
+            for forest in (forest2, forest3)
+        ]
         assert len(matrix) == 2 and all(len(row) == len(mus) for row in matrix)
         for row, forest in zip(matrix, (forest2, forest3)):
             engine = Engine(forest=forest)
@@ -176,12 +172,14 @@ class TestManyPatterns:
         graph = tprime_data_graph(6, 20, seed=1)
         forest = WDPatternForest([tprime_tree(2)])
         mu = Mapping({Variable("y"): EX.term("nowhere")})
-        contains_many_patterns([forest, forest], graph, mu, method="natural", cache=cache)
+        session = Session(cache=cache)
+        for pattern in (forest, forest):
+            session.check(pattern, graph, mu, method="natural")
         assert cache.statistics.hits + cache.statistics.misses > 0
 
     def test_rejects_non_pattern(self):
         with pytest.raises(EvaluationError):
-            contains_many_patterns([42], RDFGraph(), Mapping.EMPTY)
+            Session().check(42, RDFGraph(), Mapping.EMPTY)
 
 
 class TestPicklability:

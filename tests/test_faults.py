@@ -316,6 +316,13 @@ class TestWorkerCrashRecovery:
         )
         assert session.check_many(pattern, graph, mus, processes=2) == reference
         assert session.statistics.cells_degraded_serial >= 1
+        # check_iter streams through the same ledger: after the degradation
+        # every verdict is yielded exactly once, in input order.
+        streaming = Session(
+            stream_grace_seconds=GRACE, faults=FaultPlan(kill_at=0, kill_once=False)
+        )
+        assert list(streaming.check_iter(pattern, graph, mus, processes=2)) == reference
+        assert streaming.statistics.cells_degraded_serial >= 1
 
     def test_streaming_repeated_kills_degrade_serially(self):
         graph, patterns = line_graph(), three_patterns()

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from repro.evaluation import Engine, EvaluationStatistics, forest_contains
+from repro.evaluation import Engine, EvalContext, EvaluationStatistics, forest_contains
 from repro.hom import homomorphism_count, all_homomorphisms, TGraph
 from repro.patterns import wdpf
 from repro.rdf.generators import social_network_graph, random_graph
@@ -79,7 +79,7 @@ class TestExample2Pipeline:
         assert solutions == engine.solutions(graph, method="naive")
         stats = EvaluationStatistics()
         for mu in sorted(solutions, key=repr)[:3]:
-            assert forest_contains(forest, graph, mu, stats)
+            assert forest_contains(forest, graph, mu, EvalContext(statistics=stats))
         assert stats.trees_visited >= 1
 
 

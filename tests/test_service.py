@@ -408,6 +408,14 @@ class TestStatsEndpoint:
             assert snapshot["engines"] == service.session.engine_count
 
 
+def test_percentile_uses_the_ceiling_rank():
+    from repro.service.core import _percentile
+
+    assert _percentile([float(v) for v in range(1, 101)], 0.99) == 99.0
+    assert _percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
+    assert _percentile([], 0.5) == 0.0
+
+
 # --- fault injection through the service --------------------------------------
 
 

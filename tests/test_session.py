@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evaluation import BatchEngine, Engine, EvaluationCache, Session
+from repro.evaluation import Engine, Session
 from repro.exceptions import EvaluationError
 from repro.patterns import WDPatternForest
 from repro.rdf import Triple
@@ -347,19 +347,8 @@ class TestSolutionsAutoBugfix:
             graph, method="natural"
         )
 
-    def test_batch_engine_solutions_auto(self):
-        graph = tprime_data_graph(6, 20, seed=2)
-        batch = BatchEngine(forest=WDPatternForest([tprime_tree(2)]), width_bound=1)
-        assert batch.solutions(graph, method="auto") == batch.solutions(graph, method="natural")
 
-
-class TestBatchEngineAdapter:
-    def test_from_session_shares_cache(self):
-        session = Session()
-        batch = BatchEngine.from_session(session, parse_pattern("(?x p ?y)"))
-        assert batch.cache is session.cache
-        assert batch.session is session
-
+class TestWarm:
     def test_warm_returns_kernel_count(self, setting):
         forest, graph, _engine, _queries = setting
         session = Session()
@@ -368,12 +357,6 @@ class TestBatchEngineAdapter:
         count = session.warm(handle, graph, method="pebble", width=1)
         assert count > 0
         assert session.cache.statistics.kernel_misses > 0
-
-    def test_session_cache_reused_by_adapter(self):
-        cache = EvaluationCache()
-        batch = BatchEngine(parse_pattern("(?x p ?y)"), cache=cache)
-        assert batch.cache is cache
-        assert batch.session.cache is cache
 
 
 class TestPicklability:
@@ -609,14 +592,15 @@ class TestCrossProcessStreaming:
         engine = session.engine(forest)
         expected = Engine(forest=forest).solutions(graph, method="natural")
         assert len(expected) > 3  # multi-solution workload, else vacuous
-        distinct = session._distinct_cells([engine], [graph])
-        events = list(session._stream_distinct(distinct, "natural", 2, 1))
+        cells, _grid = session._enumeration_cells([engine], graph, "natural")
+        # A pool of two for the one cell, one solution per chunk message.
+        events = list(session._drain(cells, 2, 1, None, None))
         tags = [event[0] for event in events]
         # More than one chunk per cell, every chunk before the done event:
         # the consumer sees solutions while the worker is still enumerating.
         assert tags.count("chunk") == len(expected)
         assert tags[-1] == "done" and "done" not in tags[:-1]
-        streamed = [mu for tag, _key, mappings in events if tag == "chunk" for mu in mappings]
+        streamed = [mu for tag, _position, mappings in events if tag == "chunk" for mu in mappings]
         assert len(streamed) == len(expected)
         assert set(streamed) == expected
 
@@ -656,17 +640,15 @@ class TestCrossProcessStreaming:
     def test_session_default_chunk_size(self):
         forest, graph = self._single_cell()
         other = WDPatternForest([tprime_tree(3)])
-        session = Session(stream_chunk_size=2)
+        session = Session()
         expected = Session().solutions_many([forest, other], graph)
         got = {}
-        for cell, mu in session.solutions_iter([forest, other], graph, processes=2):
+        for cell, mu in session.solutions_iter([forest, other], graph, processes=2, chunk_size=2):
             got.setdefault(cell, set()).add(mu)
         assert [got.get((i, 0), set()) for i in range(2)] == expected
 
     def test_invalid_chunk_sizes_rejected(self):
         forest, graph = self._single_cell()
-        with pytest.raises(EvaluationError):
-            Session(stream_chunk_size=0)
         with pytest.raises(EvaluationError):
             next(Session().solutions_iter([forest], graph, processes=2, chunk_size=0))
 
